@@ -8,7 +8,9 @@ local boxes and a separating hyperplane for nonlocal ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -23,7 +25,9 @@ def outcome_sign(a: int) -> int:
 
 _PROB_FLOOR = -1e-12
 _COND_SUM_EPS = 1e-9
-MAX_VERTICES = 10**6
+# Entries of the dense membership LP matrix, n_vertices x (table size + 1):
+# 2**25 float64 entries are 256 MiB.
+MAX_LP_ENTRIES = 2**25
 
 
 @dataclass(frozen=True)
@@ -80,30 +84,43 @@ def is_no_signaling(b: Box, eps: float = 1e-9) -> bool:
     return True
 
 
+def _vertex_matrix(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> np.ndarray:
+    """Deterministic strategies as rows of flattened tables.
+
+    Strategies are in lexicographic order, party 0 most significant; party
+    p's strategy is its outcome tuple over settings, also lexicographic.
+    """
+    n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
+    dim = math.prod(settings + outcomes)
+    if n_verts * (dim + 1) > MAX_LP_ENTRIES:
+        raise ValueError(
+            f"scenario has {n_verts} deterministic strategies; their LP matrix would hold "
+            f"{n_verts * (dim + 1)} entries (cap {MAX_LP_ENTRIES})"
+        )
+    # one-hot per party: [strategy, setting, outcome]
+    tables = [
+        (np.indices((o,) * s).reshape(s, -1).T[:, :, None] == np.arange(o)).astype(float)
+        for s, o in zip(settings, outcomes)
+    ]
+    joint = reduce(np.multiply.outer, tables)  # [k_1, x_1, a_1, k_2, x_2, a_2, ...]
+    order = [3 * p + axis for axis in range(3) for p in range(len(settings))]
+    return joint.transpose(order).reshape(n_verts, dim)
+
+
 def deterministic_vertices(settings_per_party, outcomes_per_party) -> list[Box]:
     """All deterministic local strategies of the scenario, as boxes."""
     settings = tuple(int(s) for s in settings_per_party)
     outcomes = tuple(int(o) for o in outcomes_per_party)
-    n = len(settings)
-    count = 1
-    for s, o in zip(settings, outcomes):
-        count *= o**s
-    if count > MAX_VERTICES:
-        raise ValueError(f"scenario has {count} deterministic strategies (cap {MAX_VERTICES})")
-    per_party = [list(product(range(o), repeat=s)) for s, o in zip(settings, outcomes)]
-    verts = []
-    for strat in product(*per_party):
-        table = np.zeros(settings + outcomes)
-        for xs in product(*[range(s) for s in settings]):
-            outs = tuple(strat[p][xs[p]] for p in range(n))
-            table[xs + outs] = 1.0
-        verts.append(Box(n, settings, outcomes, table))
-    return verts
+    return [Box(len(settings), settings, outcomes, row) for row in _vertex_matrix(settings, outcomes)]
 
 
 @dataclass(frozen=True)
 class LocalModel:
-    """Convex weights over deterministic vertices reproducing the box table."""
+    """Convex weights over ``deterministic_vertices`` reproducing the box table.
+
+    ``weights`` are the duals of the separation LP, a basic (sparse)
+    solution; ``reconstruction_error`` is the verified max |V^T w - p|.
+    """
 
     weights: np.ndarray
     reconstruction_error: float
@@ -129,19 +146,19 @@ class NonlocalCertificate:
 def local_membership(b: Box, margin_eps: float = 1e-9) -> LocalModel | NonlocalCertificate:
     """Decide membership of ``b`` in the local polytope, with a certificate.
 
-    Stage 1 solves the separation LP (maximize the gap between the box and
-    the polytope under a box-normalized functional).  A positive optimal gap
-    yields a NonlocalCertificate.  Otherwise stage 2 recovers convex weights,
-    maximizing the minimum weight to stabilize degenerate faces.
+    One LP over (f, c): maximize the gap f.p - c subject to f.V_j <= c on
+    every deterministic vertex V_j and -1 <= f <= 1.  A positive optimal gap
+    yields a NonlocalCertificate.  Otherwise the LP's duals on the vertex
+    constraints are the convex weights: by strong duality they minimize
+    ||V^T w - p||_1 over the simplex.  They form a basic solution, so few
+    weights are nonzero.
     """
     if not is_no_signaling(b):
         raise ValueError("local_membership requires a no-signaling box")
-    verts = deterministic_vertices(b.settings_per_party, b.outcomes_per_party)
-    v_mat = np.array([v.table.reshape(-1) for v in verts])
+    v_mat = _vertex_matrix(b.settings_per_party, b.outcomes_per_party)
     p_flat = b.table.reshape(-1)
     n_verts, dim = v_mat.shape
 
-    # separation LP over (f, c): max f.p - c  s.t.  f.V_j <= c, -1 <= f <= 1
     cost = np.concatenate([-p_flat, [1.0]])
     a_ub = np.hstack([v_mat, -np.ones((n_verts, 1))])
     res = linprog(
@@ -159,32 +176,7 @@ def local_membership(b: Box, margin_eps: float = 1e-9) -> LocalModel | NonlocalC
         bound = float(np.max(v_mat @ f))
         return NonlocalCertificate(f, bound, float(f @ p_flat))
 
-    # weights LP over (w, t): max t  s.t. |V^T w - p| <= delta, sum w = 1, w >= t
-    delta = 1e-9
-    cost = np.zeros(n_verts + 1)
-    cost[-1] = -1.0
-    a_ub = np.vstack(
-        [
-            np.hstack([v_mat.T, np.zeros((dim, 1))]),
-            np.hstack([-v_mat.T, np.zeros((dim, 1))]),
-            np.hstack([-np.eye(n_verts), np.ones((n_verts, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([p_flat + delta, -p_flat + delta, np.zeros(n_verts)])
-    a_eq = np.zeros((1, n_verts + 1))
-    a_eq[0, :n_verts] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, 1)] * n_verts + [(0, 1)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"weight-recovery LP failed: {res.message}")
-    w = np.clip(res.x[:n_verts], 0.0, None)
+    w = np.clip(-res.ineqlin.marginals, 0.0, None)
     w /= w.sum()
     err = float(np.max(np.abs(v_mat.T @ w - p_flat)))
     return LocalModel(w, err)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boxes import Box
 from .monotones import MeasurementFamily
-from .states import Bipartition, PureState, group_parties, permute_parties, tensor_product
+from .states import PureState, group_parties, permute_parties, tensor_product
 
 
 def phi_plus() -> PureState:
@@ -127,9 +127,3 @@ def resolve(name: str) -> PureState | Box:
 
 def names() -> list[str]:
     return sorted(_PLAIN_STATES) + sorted(_PLAIN_BOXES) + ["partial(theta)", "max_entangled(d)"]
-
-
-def standard_bipartitions(n_parties: int) -> list[Bipartition]:
-    from .states import all_bipartitions
-
-    return all_bipartitions(n_parties)

@@ -135,7 +135,10 @@ def cmd_factor(args) -> int:
 
 def cmd_box_local(args) -> int:
     box = _load_box_arg(args.box)
-    result = local_membership(box)
+    try:
+        result = local_membership(box)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if isinstance(result, LocalModel):
         print(f"Local reconstruction_error {_fmt(result.reconstruction_error)}")
         if args.long:

@@ -72,11 +72,7 @@ class MeasurementFamily:
         return self.angles.shape[1]
 
     def bloch_vectors(self) -> np.ndarray:
-        th = self.angles[..., 0]
-        ph = self.angles[..., 1]
-        return np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-        )
+        return _angles_to_vecs(self.angles)
 
     def povms(self):
         """Nested [party][setting][outcome] list of 2x2 projectors."""
@@ -97,9 +93,7 @@ class MeasurementFamily:
         norms = np.linalg.norm(v, axis=-1)
         if float(np.max(np.abs(norms - 1.0))) > 1e-12:
             raise ValueError("Bloch vectors must be unit norm within 1e-12")
-        theta = np.arccos(np.clip(v[..., 2], -1.0, 1.0))
-        phi = np.arctan2(v[..., 1], v[..., 0])
-        return cls(np.stack([theta, phi], axis=-1))
+        return cls(_vecs_to_angles(v))
 
 
 @dataclass(frozen=True)

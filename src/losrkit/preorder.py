@@ -154,7 +154,6 @@ def factor_spectrum(
         return FactorizationResult(False, None, np.inf, Reason.RANK_RATIO_NON_INTEGER)
     remaining = list(psi)  # descending
     zeta = []
-    worst_gap = 0.0
     for _ in range(k):
         z = remaining[0] / phi[0]
         for t in phi:
@@ -165,7 +164,6 @@ def factor_spectrum(
                 return FactorizationResult(
                     False, None, gap, Reason.FACTORIZATION_FAILED, borderline=gap <= 10 * eps
                 )
-            worst_gap = max(worst_gap, gap)
             del remaining[j]
         zeta.append(z)
     return _finish(zeta, psi, phi, eps)

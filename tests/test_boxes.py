@@ -67,8 +67,13 @@ class TestVertices:
         assert len(deterministic_vertices((1,), (5,))) == 5
 
     def test_oversize_rejected(self):
-        with pytest.raises(ValueError):
-            deterministic_vertices((8, 8), (8, 8))
+        # (2,)*9/(2,)*9 has 262,144 vertices of 262,144 entries: the cap must
+        # refuse it before anything is allocated.
+        for settings, outcomes in (((8, 8), (8, 8)), ((2,) * 9, (2,) * 9)):
+            with pytest.raises(ValueError):
+                deterministic_vertices(settings, outcomes)
+            with pytest.raises(ValueError):
+                local_membership(uniform_box(settings, outcomes))
 
 
 class TestLocalMembership:
@@ -95,13 +100,29 @@ class TestLocalMembership:
         assert isinstance(res, NonlocalCertificate)
         assert res.margin > 1e-6
 
-    def test_local_mixture_recognized(self, rng):
-        verts = deterministic_vertices((2, 2), (2, 2))
-        w = rng.dirichlet(np.ones(len(verts)))
-        table = sum(wi * v.table for wi, v in zip(w, verts))
-        res = local_membership(Box(2, (2, 2), (2, 2), table))
-        assert isinstance(res, LocalModel)
-        assert res.reconstruction_error <= 1e-8
+    def test_local_mixture_recognized(self, rng, monkeypatch):
+        import losrkit.boxes
+
+        calls = []
+        solve = losrkit.boxes.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(losrkit.boxes, "linprog", counting_linprog)
+        for settings, outcomes in (((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2))):
+            verts = deterministic_vertices(settings, outcomes)
+            w = rng.dirichlet(np.ones(len(verts)))
+            table = sum(wi * v.table for wi, v in zip(w, verts))
+            calls.clear()
+            res = local_membership(Box(len(settings), settings, outcomes, table))
+            assert isinstance(res, LocalModel)
+            assert len(calls) == 1
+            assert res.reconstruction_error <= 1e-8
+            # the weights index the public vertex order
+            recon = sum(wi * v.table for wi, v in zip(res.weights, verts))
+            assert np.max(np.abs(recon - table)) <= 1e-8
 
     def test_local_certified_boxes_respect_chsh_bound(self, rng):
         verts = deterministic_vertices((2, 2), (2, 2))

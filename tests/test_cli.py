@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from losrkit import catalog, save_box, save_state, uniform_box
+from losrkit import Box, catalog, save_box, save_state, uniform_box
 from losrkit.cli import main
 
 
@@ -124,6 +124,24 @@ class TestBoxCommands:
     def test_state_is_not_a_box(self, capsys):
         code, _, err = run(capsys, "box-local", "ghz")
         assert code == 2
+
+    def test_box_local_signaling_is_input_error(self, capsys, tmp_path):
+        table = np.zeros((2, 2, 2, 2))
+        for x in range(2):
+            for y in range(2):
+                table[x, y, y, 0] = 1.0  # a = y
+        path = tmp_path / "sig.txt"
+        save_box(path, Box(2, (2, 2), (2, 2), table))
+        code, _, err = run(capsys, "box-local", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_box_local_over_cap_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        save_box(path, uniform_box((8, 8), (8, 8)))
+        code, _, err = run(capsys, "box-local", str(path))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestYield:
