@@ -30,7 +30,6 @@ from .boxes import (
     NonlocalCertificate,
     TiltedCHSH,
     deterministic_vertices,
-    evaluate,
     is_no_signaling,
     load_box,
     local_membership,

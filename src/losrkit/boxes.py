@@ -289,10 +289,6 @@ class MerminGHZ:
 BellFunctional = CHSH | TiltedCHSH | HardyScore | MerminGHZ
 
 
-def evaluate(functional: BellFunctional, b: Box) -> float:
-    return functional.evaluate(b)
-
-
 def mix_boxes(b1: Box, b2: Box, t: float) -> Box:
     """(1-t) b1 + t b2 for boxes of the same scenario."""
     if b1.shape != b2.shape:

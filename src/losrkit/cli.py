@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import catalog, config
-from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, evaluate, load_box, local_membership
+from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
 from .demos import DEMOS
 from .monotones import optimize_yield
 from .preorder import compare_bipartite, factor_spectrum, multipartite_check, verdict_to_text
@@ -158,7 +159,7 @@ def cmd_box_eval(args) -> int:
     box = _load_box_arg(args.box)
     f = _functional(args.functional, args.alpha)
     try:
-        value = evaluate(f, box)
+        value = f.evaluate(box)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     print(_fmt(value))
@@ -274,6 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The tolerance flags hold for this call only; library calls made later
+    # in the same process see the previous values again.
+    saved = replace(config.tolerances)
     if args.eps_norm is not None:
         config.tolerances.eps_norm = args.eps_norm
     if args.tau_rank is not None:
@@ -285,6 +289,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        vars(config.tolerances).update(vars(saved))
 
 
 if __name__ == "__main__":

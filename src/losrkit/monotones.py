@@ -18,13 +18,12 @@ deterministic given (state, functional, restarts, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .boxes import CHSH, BellFunctional, HardyScore, MerminGHZ, TiltedCHSH, evaluate
-from .states import DensityMatrix, LocalChannelFamily, PureState, born_box
+from .boxes import CHSH, BellFunctional, HardyScore, MerminGHZ, TiltedCHSH
+from .states import DensityMatrix, LocalChannelFamily, PureState, _local_expectations, born_box
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -49,9 +48,9 @@ class MeasurementFamily:
     """Projective qubit measurements, one Bloch direction per (party, setting).
 
     ``angles[p, x]`` holds (polar, azimuthal) in radians; outcome 0 projects
-    onto +n, outcome 1 onto -n.  Higher-dimensional projective families can
-    be passed to ``born_box`` directly as nested POVM lists; this class only
-    covers the qubit optimization domain.
+    onto +n, outcome 1 onto -n.  Higher-dimensional measurements can be
+    passed to ``born_box`` directly as ``[party][setting][outcome]`` POVM
+    array-likes; this class only covers the qubit optimization domain.
     """
 
     angles: np.ndarray  # (n_parties, n_settings, 2)
@@ -74,18 +73,11 @@ class MeasurementFamily:
     def bloch_vectors(self) -> np.ndarray:
         return _angles_to_vecs(self.angles)
 
-    def povms(self):
-        """Nested [party][setting][outcome] list of 2x2 projectors."""
-        vecs = self.bloch_vectors()
-        out = []
-        for p in range(self.n_parties):
-            rows = []
-            for x in range(self.n_settings):
-                n = vecs[p, x]
-                op = n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3]
-                rows.append([(PAULI[0] + op) / 2, (PAULI[0] - op) / 2])
-            out.append(rows)
-        return out
+    def povms(self) -> np.ndarray:
+        """``[party][setting][outcome]`` 2x2 projectors, as one array of shape
+        ``(n_parties, n_settings, 2, 2, 2)``."""
+        op = np.tensordot(self.bloch_vectors(), np.stack(PAULI[1:]), axes=1)
+        return (PAULI[0] + np.array([1, -1])[:, None, None] * op[:, :, None]) / 2
 
     @classmethod
     def from_bloch(cls, vectors) -> MeasurementFamily:
@@ -115,14 +107,7 @@ def pauli_expectations(state: DensityMatrix) -> np.ndarray:
     """Real tensor E[i1..in] = Tr[rho sigma_i1 x ... x sigma_in] (qubits only)."""
     if any(d != 2 for d in state.party_dims):
         raise ValueError("Pauli expectations need qubit parties")
-    n = state.n_parties
-    E = np.empty((4,) * n)
-    for idx in product(range(4), repeat=n):
-        op = PAULI[idx[0]]
-        for i in idx[1:]:
-            op = np.kron(op, PAULI[i])
-        E[idx] = float(np.trace(state.matrix @ op).real)
-    return E
+    return _local_expectations(state, [np.stack(PAULI)] * state.n_parties).real.copy()
 
 
 def _u_arrays(vecs: np.ndarray) -> list[np.ndarray]:
@@ -249,7 +234,7 @@ def optimize_yield(
     """Best functional value over seeded random measurement initializations.
 
     The reported value is recomputed from the Born-rule box of the returned
-    measurement family, so it matches ``evaluate(f, born_box(state, argmax))``
+    measurement family, so it matches ``f.evaluate(born_box(state, argmax))``
     by construction.  Ties between restarts resolve to the lowest index.
     """
     if isinstance(state, PureState):
@@ -308,7 +293,7 @@ def optimize_yield(
             best_angles = res.x.reshape(n, 2, 2)
         family = MeasurementFamily(best_angles)
 
-    value = evaluate(f, born_box(state, family))
+    value = f.evaluate(born_box(state, family))
     return YieldResult(value, family, restarts, seed)
 
 
@@ -320,10 +305,7 @@ def horodecki_chsh(state: DensityMatrix | PureState) -> float:
         state = state.density()
     if state.party_dims != (2, 2):
         raise ValueError("horodecki_chsh needs a two-qubit state")
-    T = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            T[i, j] = float(np.trace(state.matrix @ np.kron(PAULI[i + 1], PAULI[j + 1])).real)
+    T = pauli_expectations(state)[1:, 1:]
     w = np.linalg.eigvalsh(T.T @ T)
     return 2.0 * float(np.sqrt(max(w[-1] + w[-2], 0.0)))
 

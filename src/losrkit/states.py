@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -338,11 +337,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if any(i < 0 or i >= rho.n_parties for i in keep):
         raise ValueError(f"keep indices out of range: {keep}")
     n = rho.n_parties
-    t = rho.matrix.reshape(rho.party_dims * 2)
-    drop = [i for i in range(n) if i not in keep]
-    for count, i in enumerate(drop):
-        axis = i - sum(1 for j in drop[:count] if j < i)
-        t = np.trace(t, axis1=axis, axis2=axis + (n - count))
+    # Column label n + i for a kept party, the row label i for a traced one.
+    cols = [n + i if i in keep else i for i in range(n)]
+    t = np.einsum(rho.matrix.reshape(rho.party_dims * 2), list(range(n)) + cols,
+                  keep + [n + i for i in keep])
     new_dims = tuple(rho.party_dims[i] for i in keep)
     d = int(np.prod(new_dims))
     return DensityMatrix(new_dims, t.reshape(d, d))
@@ -380,56 +378,68 @@ def schmidt_rank(spec: SchmidtSpectrum, tau_rank: float | None = None) -> int:
     return int(np.sum(spec.values > tau))
 
 
+def _conjugate_local(t: np.ndarray, kraus: np.ndarray, p: int) -> np.ndarray:
+    """sum_k K_k rho K_k^dagger on party p of a ``[rows..., cols...]`` tensor,
+    for a ``(k, d_out, d_in)`` Kraus stack; party p's axes stay in place."""
+    n = t.ndim // 2
+    t = np.tensordot(kraus, t, axes=([2], [p]))  # [k, row p, rows != p, cols]
+    t = np.tensordot(t, kraus.conj(), axes=([0, n + 1 + p], [0, 2]))
+    return np.moveaxis(t, [0, -1], [p, n + p])
+
+
+def _local_expectations(rho: DensityMatrix, stacks) -> np.ndarray:
+    """T[k_1..k_n] = Tr[rho (stacks_1[k_1] x ... x stacks_n[k_n])] for
+    ``(k_p, d_p, d_p)`` operator stacks, contracted one party at a time."""
+    t = rho.matrix.reshape(rho.party_dims * 2)
+    for m, ops in zip(range(rho.n_parties, 0, -1), stacks):
+        t = np.tensordot(t, ops, axes=([0, m], [2, 1]))
+    return t
+
+
 def apply_channel(rho: DensityMatrix, ch: LocalChannelFamily) -> DensityMatrix:
     """Convex mixture over the family of the tensor-product channel action."""
     if ch.input_dims != rho.party_dims:
         raise ValueError(
             f"channel input dims {ch.input_dims} do not match state dims {rho.party_dims}"
         )
-    d_out = int(np.prod(ch.output_dims))
-    out = np.zeros((d_out, d_out), dtype=complex)
+    t_in = rho.matrix.reshape(rho.party_dims * 2)
+    out = 0.0
     for weight, per_party in ch.components:
-        for combo in product(*per_party):
-            k = combo[0]
-            for op in combo[1:]:
-                k = np.kron(k, op)
-            out += weight * (k @ rho.matrix @ k.conj().T)
-    return DensityMatrix(ch.output_dims, out)
+        t = weight * t_in
+        for p, kraus in enumerate(per_party):
+            t = _conjugate_local(t, np.stack(kraus), p)
+        out += t
+    d_out = int(np.prod(ch.output_dims))
+    return DensityMatrix(ch.output_dims, out.reshape(d_out, d_out))
 
 
 def born_box(state: DensityMatrix, meas):
     """Born-rule box p(outcomes|settings) = Tr[rho (tensor of POVM elements)].
 
-    ``meas`` is either an object exposing ``povms()`` or a nested sequence
-    ``[party][setting][outcome]`` of POVM element matrices.
+    ``meas`` is either an object exposing ``povms()`` or an array-like
+    ``[party][setting][outcome]`` of POVM element matrices (one
+    ``(settings, outcomes, d, d)`` array per party).
     """
     from .boxes import Box
 
     elements = meas.povms() if hasattr(meas, "povms") else meas
-    eps = tolerances.eps_norm
     if len(elements) != state.n_parties:
         raise ValueError("measurement party count does not match the state")
-    for p, settings in enumerate(elements):
+    stacks = []
+    for p, povm in enumerate(elements):
         d = state.party_dims[p]
-        for setting in settings:
-            tot = np.zeros((d, d), dtype=complex)
-            for e in setting:
-                e = np.asarray(e)
-                if e.shape != (d, d):
-                    raise ValueError(f"POVM element shape {e.shape} != ({d},{d}) for party {p}")
-                tot = tot + e
-            if float(np.max(np.abs(tot - np.eye(d)))) > 1e-8:
-                raise ValueError(f"POVM for party {p} does not sum to identity")
-    settings_pp = tuple(len(s) for s in elements)
-    outcomes_pp = tuple(len(s[0]) for s in elements)
-    table = np.empty(settings_pp + outcomes_pp)
-    for xs in product(*[range(s) for s in settings_pp]):
-        for outs in product(*[range(o) for o in outcomes_pp]):
-            op = elements[0][xs[0]][outs[0]]
-            for p in range(1, state.n_parties):
-                op = np.kron(op, elements[p][xs[p]][outs[p]])
-            table[xs + outs] = float(np.trace(state.matrix @ op).real)
-    return Box(state.n_parties, settings_pp, outcomes_pp, table)
+        povm = np.asarray(povm, dtype=complex)
+        if povm.ndim != 4 or povm.shape[2:] != (d, d):
+            raise ValueError(f"POVM element shape {povm.shape[2:]} != ({d},{d}) for party {p}")
+        if float(np.max(np.abs(povm.sum(axis=1) - np.eye(d)))) > 1e-8:
+            raise ValueError(f"POVM for party {p} does not sum to identity")
+        stacks.append(povm)
+    n = state.n_parties
+    table = _local_expectations(state, [povm.reshape(-1, *povm.shape[2:]) for povm in stacks]).real
+    # [x_1 a_1, ..., x_n a_n] -> [x_1, ..., x_n, a_1, ..., a_n]
+    table = table.reshape([k for povm in stacks for k in povm.shape[:2]])
+    table = table.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return Box(n, table.shape[:n], table.shape[n:], table)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,7 @@ def test_criterion_07_chsh_yield():
         assert time.perf_counter() - start < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_08_hardy_anomaly():
     with criterion(8, "Hardy: zero on phi+, grid max near 0.09017 via independent oracle"):
         res = optimize_yield(catalog.phi_plus(), HardyScore(), restarts=32, seed=888)
@@ -248,6 +249,7 @@ def test_criterion_10_flag_selftesting():
         assert saw_factorized
 
 
+@pytest.mark.slow
 def test_criterion_11_monotonicity():
     with criterion(11, "no monotonicity violation beyond 5e-4 over 100 channels x 3 states x 3 functionals"):
         start = time.perf_counter()

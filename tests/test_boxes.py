@@ -12,7 +12,6 @@ from losrkit import (
     born_box,
     catalog,
     deterministic_vertices,
-    evaluate,
     is_no_signaling,
     load_box,
     local_membership,

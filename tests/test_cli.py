@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from losrkit import Box, catalog, save_box, save_state, uniform_box
+from losrkit import (
+    Bipartition,
+    Box,
+    Tolerances,
+    catalog,
+    config,
+    save_box,
+    save_state,
+    schmidt_spectrum,
+    uniform_box,
+)
 from losrkit.cli import main
 
 
@@ -33,6 +43,13 @@ class TestSchmidt:
         code, out, _ = run(capsys, "schmidt", str(path), "A|B")
         assert code == 0
         assert out == "0.5 0.5\n"
+
+    def test_tolerance_flags_do_not_leak(self, capsys):
+        code, out, _ = run(capsys, "--tau-rank", "0.3", "schmidt", "two_bell", "A|BC")
+        assert code == 0
+        assert config.tolerances == Tolerances()
+        spec = schmidt_spectrum(catalog.two_bell(), Bipartition.parse("A|BC", 3))
+        assert spec.rank() == 4
 
     def test_bad_bipartition_is_input_error(self, capsys):
         code, _, err = run(capsys, "schmidt", "phi_plus", "A|X")

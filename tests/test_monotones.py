@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from losrkit import (
     apply_channel,
     born_box,
     catalog,
-    evaluate,
     hardy_grid_maximum,
     horodecki_chsh,
     optimize_yield,
@@ -89,7 +90,7 @@ class TestOptimizeYield:
     def test_value_matches_reported_measurements(self):
         res = optimize_yield(catalog.partial(0.5), TiltedCHSH(0.5), restarts=8, seed=1)
         box = born_box(catalog.partial(0.5).density(), res.argmax)
-        assert res.value == pytest.approx(evaluate(TiltedCHSH(0.5), box), abs=1e-9)
+        assert res.value == pytest.approx(TiltedCHSH(0.5).evaluate(box), abs=1e-9)
 
     def test_hardy_phi_plus_zero(self):
         res = optimize_yield(catalog.phi_plus(), HardyScore(), restarts=8, seed=5)
@@ -137,6 +138,20 @@ class TestPauliExpectations:
         assert E[2, 2] == pytest.approx(-1.0)
         assert E[3, 3] == pytest.approx(1.0)
         assert E[1, 0] == pytest.approx(0.0)
+
+    def test_four_qubits_match_kronecker_reference(self, rng):
+        paulis = [
+            np.eye(2),
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.array([[1, 0], [0, -1]]),
+        ]
+        rho = random_density(rng, (2, 2, 2, 2))
+        E = pauli_expectations(rho)
+        assert E.shape == (4, 4, 4, 4)
+        for idx in np.ndindex(E.shape):
+            op = reduce(np.kron, [paulis[i] for i in idx])
+            assert abs(E[idx] - np.trace(rho.matrix @ op).real) < 1e-12
 
 
 class TestSampleChannel:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,13 @@ from losrkit import (
     schmidt_spectrum,
     tensor_product,
 )
-from conftest import random_density, random_pure
+from conftest import random_density, random_pure, random_unitary
 
 AB = Bipartition(frozenset({0}), 2)
+
+
+def kron_all(ops):
+    return reduce(np.kron, ops)
 
 
 def bip(left, n):
@@ -145,6 +151,16 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(catalog.ghz().density(), [])
 
+    def test_matches_explicit_reference(self, rng):
+        rho = random_density(rng, (2, 3, 2))
+        expect = np.zeros((4, 4), dtype=complex)
+        for j in range(3):
+            bra = kron_all([np.eye(2), np.eye(3)[j:j + 1], np.eye(2)])
+            expect += bra @ rho.matrix @ bra.conj().T
+        red = partial_trace(rho, [0, 2])
+        assert red.party_dims == (2, 2)
+        assert np.max(np.abs(red.matrix - expect)) < 1e-12
+
     def test_trace_and_hermiticity_preserved(self, rng):
         for dims in [(2, 2), (2, 4, 2), (4, 4, 4)]:
             rho = random_density(rng, dims)
@@ -241,6 +257,29 @@ class TestChannels:
         out = apply_channel(catalog.phi_plus().density(), ch)
         assert np.allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
 
+    def test_matches_kronecker_reference(self, rng):
+        def random_kraus(n_ops, d_out, d_in):
+            g = rng.standard_normal((n_ops * d_out, d_in)) + 1j * rng.standard_normal((n_ops * d_out, d_in))
+            q, _ = np.linalg.qr(g)
+            return tuple(q[k * d_out:(k + 1) * d_out] for k in range(n_ops))
+
+        rho = random_density(rng, (2, 3, 2))
+        # Party 1 is mapped from a qutrit to a qubit, party 2 to a qutrit.
+        components = tuple(
+            (w, (random_kraus(2, 2, 2), random_kraus(3, 2, 3), random_kraus(1, 3, 2)))
+            for w in (0.3, 0.7)
+        )
+        expect = np.zeros((12, 12), dtype=complex)
+        for w, per_party in components:
+            for ka in per_party[0]:
+                for kb in per_party[1]:
+                    for kc in per_party[2]:
+                        k = kron_all([ka, kb, kc])
+                        expect += w * (k @ rho.matrix @ k.conj().T)
+        out = apply_channel(rho, LocalChannelFamily(components))
+        assert out.party_dims == (2, 2, 3)
+        assert np.max(np.abs(out.matrix - expect)) < 1e-12
+
     def test_dimension_mismatch(self):
         ch = LocalChannelFamily.identity((2, 2))
         with pytest.raises(ValueError):
@@ -289,6 +328,28 @@ class TestBornBox:
 
             box = born_box(rho, MeasurementFamily.from_bloch(vecs))
             assert is_no_signaling(box, 1e-10)
+
+    def test_matches_kronecker_reference(self, rng):
+        from losrkit import MeasurementFamily
+
+        # Qutrit pair: three projective measurements with three outcomes each.
+        qutrit_povm = []
+        for _ in range(2):
+            us = [random_unitary(rng, 3) for _ in range(3)]
+            qutrit_povm.append([[np.outer(u[:, a], u[:, a].conj()) for a in range(3)] for u in us])
+        vecs = rng.standard_normal((3, 2, 3))
+        vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+        qubit_povm = MeasurementFamily.from_bloch(vecs).povms()
+        cases = [((3, 3), qutrit_povm), ((2, 2, 2), qubit_povm), ((2, 3), [qubit_povm[0], qutrit_povm[1]])]
+        for dims, meas in cases:
+            rho = random_density(rng, dims)
+            box = born_box(rho, meas)
+            n = len(dims)
+            for xs in np.ndindex(*(len(m) for m in meas)):
+                for outs in np.ndindex(*(len(m[0]) for m in meas)):
+                    op = kron_all([meas[p][xs[p]][outs[p]] for p in range(n)])
+                    expect = np.trace(rho.matrix @ op).real
+                    assert abs(box.table[xs + outs] - expect) < 1e-12
 
     def test_non_complete_povm_rejected(self):
         z0 = np.diag([1.0, 0.0]).astype(complex)
