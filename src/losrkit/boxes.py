@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -97,14 +96,16 @@ def _vertex_matrix(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> np.n
             f"scenario has {n_verts} deterministic strategies; their LP matrix would hold "
             f"{n_verts * (dim + 1)} entries (cap {MAX_LP_ENTRIES})"
         )
-    # one-hot per party: [strategy, setting, outcome]
-    tables = [
-        (np.indices((o,) * s).reshape(s, -1).T[:, :, None] == np.arange(o)).astype(float)
-        for s, o in zip(settings, outcomes)
-    ]
-    joint = reduce(np.multiply.outer, tables)  # [k_1, x_1, a_1, k_2, x_2, a_2, ...]
-    order = [3 * p + axis for axis in range(3) for p in range(len(settings))]
-    return joint.transpose(order).reshape(n_verts, dim)
+    # One-hot [strategy, setting, outcome] per party on axes (p, n+p, 2n+p)
+    # of the [k..., x..., a...] layout; C order keeps the reshape a view.
+    n = len(settings)
+    joint = np.ones((1,) * 3 * n)
+    for p, (s, o) in enumerate(zip(settings, outcomes)):
+        shape = [1] * 3 * n
+        shape[p], shape[n + p], shape[2 * n + p] = o**s, s, o
+        onehot = np.indices((o,) * s).reshape(s, -1).T[:, :, None] == np.arange(o)
+        joint = np.multiply(joint, onehot.reshape(shape), order="C")
+    return joint.reshape(n_verts, dim)
 
 
 def deterministic_vertices(settings_per_party, outcomes_per_party) -> list[Box]:

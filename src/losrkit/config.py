@@ -15,8 +15,9 @@ class Tolerances:
                   at total dimension <= 64.
     eps_match  -- multiset matching tolerance for spectrum factorization.
     eps_hardy  -- slack allowed on the Hardy zero constraints when scoring a
-                  box (optimized measurements satisfy them to solver
-                  precision, not exactly).
+                  box.  Optimized measurements meet them exactly up to
+                  rounding; the slack is for boxes read from files and for
+                  near-pure mixed states, where it decides the score.
     """
 
     eps_norm: float = 1e-9

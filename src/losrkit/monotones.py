@@ -9,10 +9,13 @@ optimization domain is projective qubit measurements parameterized by Bloch
 angles; every two-outcome qubit POVM is a mixture of projective ones, so
 nothing is lost for these functionals at qubit dimensions.
 
-The optimizer is a coordinate-ascent see-saw over parties (closed-form Bloch
-updates for linear functionals, a quadratic-penalty ramp for the Hardy score)
-followed by a gradient-free polish of the best restart.  Results are
-deterministic given (state, functional, restarts, seed).
+Linear functionals are optimized by a coordinate-ascent see-saw over parties
+(closed-form Bloch updates) followed by a gradient-free polish of the best
+restart.  The Hardy score is optimized on its exact feasible set: the three
+zero constraints fix every direction once A's setting-1 direction is chosen,
+so a seeded Nelder-Mead search over its two Bloch angles is all that
+remains.  Results are deterministic given (state, functional,
+restarts, seed).
 """
 
 from __future__ import annotations
@@ -33,11 +36,6 @@ PAULI = (
 )
 
 _SET, _OUT, _PAU = "ijk", "abc", "uvw"
-
-# Penalty weights for the Hardy zero constraints.  The ramp ends at 1e11 so
-# that residual violations (~ mu^(-2/3)) land safely below the feasibility
-# gate used when scoring the final box.
-_HARDY_MU_RAMP = (1e3, 1e5, 1e7, 1e9, 1e11)
 
 _SEESAW_MAX_SWEEPS = 500
 _SEESAW_FTOL = 1e-10
@@ -175,46 +173,59 @@ def _vecs_to_angles(vecs: np.ndarray) -> np.ndarray:
     return np.stack([theta, phi], axis=-1)
 
 
-def _hardy_flat_probs(E: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """16 probabilities as P[2x+a, 2y+b] from the 8 raw angles (fast path)."""
-    th = x[0::2]
-    ph = x[1::2]
-    st = np.sin(th)
-    nx = st * np.cos(ph)
-    ny = st * np.sin(ph)
-    nz = np.cos(th)
-    u = np.empty((4, 2, 4))
-    u[:, :, 0] = 1.0
-    u[:, 0, 1] = nx
-    u[:, 0, 2] = ny
-    u[:, 0, 3] = nz
-    u[:, 1, 1:] = -u[:, 0, 1:]
-    return u[:2].reshape(4, 4) @ E @ u[2:].reshape(4, 4).T * 0.25
+def _perp(v: np.ndarray) -> np.ndarray:
+    """The qubit ket orthogonal to ``v``, of the same norm."""
+    return np.array([-v[1].conjugate(), v[0].conjugate()])
 
 
-def _hardy_penalty(E: np.ndarray, x: np.ndarray, mu: float) -> float:
-    P = _hardy_flat_probs(E, x)
-    viol = P[0, 2] ** 2 + P[2, 0] ** 2 + P[3, 3] ** 2
-    return -(P[0, 0] - mu * viol)
+def _hardy_kets(M: np.ndarray, angles: np.ndarray) -> list[np.ndarray]:
+    """Unit kets [a0, a1, b0, b1] that meet the three Hardy zero constraints
+    exactly on the state with amplitude matrix ``M``, from the Bloch angles
+    of a1.  Outcome 0 projects on the ket, outcome 1 on the orthogonal one,
+    and the amplitude of kets (a, b) is a^dag M conj(b)."""
+    th, ph = angles
+    a1 = np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
+    b1 = M.T @ _perp(a1).conj()  # p(11|11) = 0
+    a0 = _perp(M @ b1.conj())  # p(00|01) = 0
+    b0 = _perp(M.T @ a1.conj())  # p(00|10) = 0
+    return [k / np.linalg.norm(k) for k in (a0, a1, b0, b1)]
 
 
-_HARDY_STAGE_MAXFEV = 400
-_HARDY_POLISH_MAXFEV = 1500
+def _optimize_hardy(state: DensityMatrix, restarts: int, rng: np.random.Generator) -> MeasurementFamily:
+    """Maximize p(00|00) = |a0^dag M conj(b0)|^2 over the exact feasible set.
 
+    ``M`` is the top eigenvector of rho, and each restart is a Nelder-Mead
+    search over the two Bloch angles of a1 (see ``_hardy_kets``).  On a
+    pure state every point meets the zero constraints up to rounding, so no
+    value passes the gate of ``HardyScore.evaluate`` by a tolerance.
 
-def _optimize_hardy_once(E: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    # Joint simplex search per penalty stage: party-wise sweeps stall on the
-    # strongly coupled constraint terms, so all eight angles move together.
-    x = x0
-    for mu in _HARDY_MU_RAMP:
-        res = minimize(
-            lambda v: _hardy_penalty(E, v, mu),
-            x,
-            method="Nelder-Mead",
-            options={"maxfev": _HARDY_STAGE_MAXFEV, "xatol": 1e-11, "fatol": 1e-13},
-        )
-        x = res.x
-    return x
+    A state of rank >= 2 needs no repair step, because its Hardy yield is 0.
+    The product vectors a0 x b1, a1 x b0 and a1' x b1' (' the orthogonal ket)
+    must all lie in ker rho, of dimension <= 2.  Such a kernel holds at most
+    two product directions unless it is a x C^2 or C^2 x b, which would make
+    a0, a1 and a1' (or b0, b1 and b1') all parallel.  With two directions,
+    a1' x b1' differs from both others, so a0 x b1 ~ a1 x b0; then a0 ~ a1,
+    b0 ~ b1 and p(00|00) = p(00|01) = 0.  Scored on rho itself, the returned
+    family violates the constraints by about the weight outside the top
+    eigenvector, and the gate turns that into 0.
+    """
+    _, vecs = np.linalg.eigh(state.matrix)
+    M = vecs[:, -1].reshape(2, 2)
+
+    def neg_value(angles: np.ndarray) -> float:
+        a0, _, b0, _ = _hardy_kets(M, angles)
+        return -abs(np.vdot(a0, M @ b0.conj())) ** 2
+
+    best_score = -np.inf
+    for _ in range(restarts):
+        x0 = rng.uniform(0.0, np.pi, 2)
+        x0[1] *= 2.0
+        res = minimize(neg_value, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-14})
+        if -res.fun > best_score:
+            best_score = -res.fun
+            best_angles = res.x
+    bloch = [[np.vdot(k, s @ k).real for s in PAULI[1:]] for k in _hardy_kets(M, best_angles)]
+    return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3)))
 
 
 def _functional_parties(f: BellFunctional) -> int:
@@ -246,30 +257,14 @@ def optimize_yield(
         raise ValueError(
             f"{type(f).__name__} needs {n} qubit parties, state has dims {state.party_dims}"
         )
-    E = pauli_expectations(state)
     rng = np.random.default_rng(seed)
-    best_score = -np.inf
-    best_angles = None
 
     if isinstance(f, HardyScore):
-        for _ in range(restarts):
-            x0 = rng.uniform(0.0, np.pi, 8)
-            x0[1::2] *= 2.0
-            x = _optimize_hardy_once(E, x0)
-            score = -_hardy_penalty(E, x, _HARDY_MU_RAMP[-1])
-            if score > best_score:
-                best_score = score
-                best_angles = x
-        res = minimize(
-            lambda v: _hardy_penalty(E, v, _HARDY_MU_RAMP[-1]),
-            best_angles,
-            method="Nelder-Mead",
-            options={"maxfev": _HARDY_POLISH_MAXFEV, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        if -res.fun > best_score:
-            best_angles = res.x
-        family = MeasurementFamily(best_angles.reshape(2, 2, 2))
+        family = _optimize_hardy(state, restarts, rng)
     else:
+        E = pauli_expectations(state)
+        best_score = -np.inf
+        best_angles = None
         coeffs = f.coefficients()
         for _ in range(restarts):
             v0 = rng.standard_normal((n, 2, 3))

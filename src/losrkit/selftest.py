@@ -89,18 +89,13 @@ def flag_mixed_state(fc: FlagConstruction) -> DensityMatrix:
     da, db = fc.base_state.party_dims
     fa, fb = fc.flag_dims
     psi = fc.base_state.amplitudes
-    dim = da * db * fa * fb
-    rho = np.zeros((dim, dim), dtype=complex)
+    # sum_ij block_ij (x) |ij><ij| as [base row, flag, base col, flag]
+    rho = np.zeros((da * db, fa * fb, da * db, fa * fb), dtype=complex)
     for i in range(fa):
         for j in range(fb):
-            if fc.dist[i, j] == 0.0:
-                continue
-            v = (np.kron(fc.unitaries_a[i], fc.unitaries_b[j]) @ psi)
-            block = fc.dist[i, j] * np.outer(v, v.conj())
-            flag = np.zeros((fa * fb, fa * fb))
-            flag[i * fb + j, i * fb + j] = 1.0
-            rho += np.kron(block, flag)
-    out = DensityMatrix((da, db, fa, fb), rho)
+            v = np.kron(fc.unitaries_a[i], fc.unitaries_b[j]) @ psi
+            rho[:, i * fb + j, :, i * fb + j] = fc.dist[i, j] * np.outer(v, v.conj())
+    out = DensityMatrix((da, db, fa, fb), rho.reshape(da * db * fa * fb, -1))
     out = permute_parties(out, (0, 2, 1, 3))  # (A, flag_A, B, flag_B)
     return group_parties(out, [(0, 1), (2, 3)])
 

@@ -5,9 +5,11 @@ import pytest
 
 from losrkit import (
     CHSH,
+    DensityMatrix,
     HardyScore,
     MeasurementFamily,
     MerminGHZ,
+    PureState,
     TiltedCHSH,
     apply_channel,
     born_box,
@@ -18,9 +20,17 @@ from losrkit import (
     pauli_expectations,
     sample_losr_channel,
 )
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 TSIRELSON = 2 * np.sqrt(2)
+HARDY_MAX = (5 * np.sqrt(5) - 11) / 2
+
+
+def hardy_closed_form(amplitudes) -> float:
+    """Hardy's maximum ((cs(c - s)) / (1 - cs))^2 for a two-qubit pure state
+    with Schmidt coefficients c and s."""
+    c, s = np.linalg.svd(np.reshape(amplitudes, (2, 2)), compute_uv=False)
+    return float((c * s * (c - s) / (1 - c * s)) ** 2)
 
 
 class TestMeasurementFamily:
@@ -56,8 +66,6 @@ class TestHorodecki:
         assert horodecki_chsh(catalog.partial(0.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        from losrkit import DensityMatrix
-
         rho = DensityMatrix((2, 2), np.eye(4) / 4)
         assert horodecki_chsh(rho) == pytest.approx(0.0, abs=1e-12)
 
@@ -128,6 +136,30 @@ class TestOptimizeYield:
         assert float(head[0]) == pytest.approx(TSIRELSON, abs=1e-6)
         assert head[1] == "4" and head[2] == "2"
         assert len(lines) == 3
+
+
+class TestHardyFeasibleSet:
+    def test_pure_states_meet_closed_form(self, rng):
+        states = [catalog.partial(float(t)) for t in np.linspace(0.05, np.pi / 2 - 0.05, 15)]
+        for _ in range(10):
+            c = np.sqrt(rng.uniform(0.5, 1.0))
+            amp = np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) @ [c, 0, 0, np.sqrt(1 - c**2)]
+            states.append(PureState((2, 2), amp))
+        for psi in states:
+            res = optimize_yield(psi, HardyScore(), restarts=4, seed=9)
+            assert abs(res.value - hardy_closed_form(psi.amplitudes)) <= 1e-9
+            box = born_box(psi.density(), res.argmax)
+            assert HardyScore().constraint_violation(box) <= 1e-12
+
+    def test_near_pure_state_stays_below_hardy_maximum(self):
+        rho = catalog.partial(0.4387).density().matrix
+        noisy = DensityMatrix((2, 2), (1 - 4e-9) * rho + 4e-9 * np.eye(4) / 4)
+        res = optimize_yield(noisy, HardyScore(), restarts=6, seed=5)
+        assert 0.09 <= res.value <= HARDY_MAX + 1e-9
+
+    def test_full_rank_mixed_state_is_zero(self, rng):
+        res = optimize_yield(random_density(rng, (2, 2)), HardyScore(), restarts=6, seed=5)
+        assert res.value == 0.0
 
 
 class TestPauliExpectations:

@@ -95,6 +95,25 @@ class TestFlagMixedState:
                 sub = block / w
                 assert float(np.trace(sub @ sub).real) == pytest.approx(1.0, abs=1e-10)
 
+    def test_matches_kronecker_reference(self, rng):
+        # sum_ij p_ij w_ij w_ij^dag with w_ij = ((U_i (x) |i>) (x) (V_j (x) |j>)) psi,
+        # on a qubit-qutrit base with 3 x 2 flags and one zero-weight pair
+        base = random_pure(rng, (2, 3))
+        fc = random_fc(rng, base, fa=3, fb=2)
+        dist = np.array(fc.dist)
+        dist[1, 0] = 0.0
+        fc = FlagConstruction(base, dist / dist.sum(), fc.unitaries_a, fc.unitaries_b)
+        ref = np.zeros((36, 36), dtype=complex)
+        for i in range(3):
+            for j in range(2):
+                iso_a = np.kron(fc.unitaries_a[i], np.eye(3)[:, [i]])
+                iso_b = np.kron(fc.unitaries_b[j], np.eye(2)[:, [j]])
+                w = np.kron(iso_a, iso_b) @ base.amplitudes
+                ref += fc.dist[i, j] * np.outer(w, w.conj())
+        rho = flag_mixed_state(fc)
+        assert rho.party_dims == (6, 6)
+        assert np.max(np.abs(rho.matrix - ref)) <= 1e-12
+
     def test_product_base_gives_separable_output(self, rng):
         base = catalog.partial(0.0)  # |00>, product across A|B
         fc = random_fc(rng, base)
