@@ -83,11 +83,15 @@ def is_no_signaling(b: Box, eps: float = 1e-9) -> bool:
     return True
 
 
-def _vertex_matrix(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> np.ndarray:
+def _vertex_matrix(
+    settings: tuple[int, ...], outcomes: tuple[int, ...], extra_columns: int = 0
+) -> np.ndarray:
     """Deterministic strategies as rows of flattened tables.
 
     Strategies are in lexicographic order, party 0 most significant; party
     p's strategy is its outcome tuple over settings, also lexicographic.
+    The rows fill the first columns of an ``(n_verts, dim + extra_columns)``
+    array; the extra columns are left uninitialised for the caller.
     """
     n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
     dim = math.prod(settings + outcomes)
@@ -97,15 +101,18 @@ def _vertex_matrix(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> np.n
             f"{n_verts * (dim + 1)} entries (cap {MAX_LP_ENTRIES})"
         )
     # One-hot [strategy, setting, outcome] per party on axes (p, n+p, 2n+p)
-    # of the [k..., x..., a...] layout; C order keeps the reshape a view.
+    # of the [k..., x..., a...] layout; the last party's product is written
+    # straight into the result, seen in that layout.
     n = len(settings)
+    mat = np.empty((n_verts, dim + extra_columns))
+    layout = mat[:, :dim].reshape(tuple(o**s for s, o in zip(settings, outcomes)) + settings + outcomes)
     joint = np.ones((1,) * 3 * n)
     for p, (s, o) in enumerate(zip(settings, outcomes)):
         shape = [1] * 3 * n
         shape[p], shape[n + p], shape[2 * n + p] = o**s, s, o
         onehot = np.indices((o,) * s).reshape(s, -1).T[:, :, None] == np.arange(o)
-        joint = np.multiply(joint, onehot.reshape(shape), order="C")
-    return joint.reshape(n_verts, dim)
+        joint = np.multiply(joint, onehot.reshape(shape), out=layout if p == n - 1 else None)
+    return mat
 
 
 def deterministic_vertices(settings_per_party, outcomes_per_party) -> list[Box]:
@@ -156,12 +163,13 @@ def local_membership(b: Box, margin_eps: float = 1e-9) -> LocalModel | NonlocalC
     """
     if not is_no_signaling(b):
         raise ValueError("local_membership requires a no-signaling box")
-    v_mat = _vertex_matrix(b.settings_per_party, b.outcomes_per_party)
+    a_ub = _vertex_matrix(b.settings_per_party, b.outcomes_per_party, extra_columns=1)
     p_flat = b.table.reshape(-1)
-    n_verts, dim = v_mat.shape
+    n_verts, dim = len(a_ub), p_flat.size
+    a_ub[:, dim] = -1.0
+    v_mat = a_ub[:, :dim]
 
     cost = np.concatenate([-p_flat, [1.0]])
-    a_ub = np.hstack([v_mat, -np.ones((n_verts, 1))])
     res = linprog(
         cost,
         A_ub=a_ub,
@@ -246,11 +254,12 @@ class HardyScore:
         return float(max(box.table[e] for e in self.zero_entries))
 
     def evaluate(self, box: Box, eps_hardy: float | None = None) -> float:
-        """The objective probability if all zero constraints hold, else 0."""
+        """The objective probability if all zero constraints hold, else 0.
+        Rounding can leave the entry slightly below 0; it is reported as 0."""
         eps = _resolve(eps_hardy, tolerances.eps_hardy)
         if self.constraint_violation(box) > eps:
             return 0.0
-        return float(box.table[self.objective_entry])
+        return max(0.0, float(box.table[self.objective_entry]))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ nothing is lost for these functionals at qubit dimensions.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
 (closed-form Bloch updates) followed by a gradient-free polish of the best
-restart.  The Hardy score is optimized on its exact feasible set: the three
-zero constraints fix every direction once A's setting-1 direction is chosen,
-so a seeded Nelder-Mead search over its two Bloch angles is all that
-remains.  Results are deterministic given (state, functional,
-restarts, seed).
+restart.  The functional and the state's Pauli tensor form one tensor with
+an axis per party, so a party's field is a chain of matrix products, and
+every restart is swept in one batch until it stalls on its own.  The Hardy
+score is optimized on its exact feasible set: the three zero constraints
+fix every direction once A's setting-1 direction is chosen, so a seeded
+Nelder-Mead search over its two Bloch angles is all that remains.  Each
+restart's value is reported with the result.  Results are deterministic
+given (state, functional, restarts, seed).
 """
 
 from __future__ import annotations
@@ -88,10 +91,16 @@ class MeasurementFamily:
 
 @dataclass(frozen=True)
 class YieldResult:
+    """``restart_values`` holds the value each restart's search reached, in
+    restart order: the see-saw value for linear functionals (before the
+    polish), and p(00|00) on the top eigenvector of rho for Hardy (before
+    the zero-constraint gate on rho itself)."""
+
     value: float
     argmax: MeasurementFamily
     restarts_used: int
     seed: int
+    restart_values: tuple[float, ...]
 
     def to_text(self) -> str:
         lines = [f"{self.value:.10g} {self.restarts_used} {self.seed}"]
@@ -108,57 +117,66 @@ def pauli_expectations(state: DensityMatrix) -> np.ndarray:
     return _local_expectations(state, [np.stack(PAULI)] * state.n_parties).real.copy()
 
 
-def _u_arrays(vecs: np.ndarray) -> list[np.ndarray]:
-    """Per party: u[x, a, :] = (1, sign(a) * n_x) for the Born-rule contraction."""
-    n_parties, n_settings = vecs.shape[:2]
-    out = []
-    for p in range(n_parties):
-        u = np.empty((n_settings, 2, 4))
-        u[:, :, 0] = 1.0
-        u[:, 0, 1:] = vecs[p]
-        u[:, 1, 1:] = -vecs[p]
-        out.append(u)
-    return out
+def _u_arrays(vecs: np.ndarray) -> np.ndarray:
+    """u[..., p, :] = (1, sign(a) * n_x) over (x, a), flattened: party p's
+    Born-rule vector, from ``vecs`` of shape ``(..., n_parties, n_settings, 3)``."""
+    u = np.ones(vecs.shape[:-1] + (2, 4))
+    u[..., 0, 1:] = vecs
+    u[..., 1, 1:] = -vecs
+    return u.reshape(vecs.shape[:-2] + (-1,))
 
 
-def _box_table(E: np.ndarray, us: list[np.ndarray]) -> np.ndarray:
-    n = len(us)
-    terms = [_PAU[:n]] + [_SET[p] + _OUT[p] + _PAU[p] for p in range(n)]
-    return np.einsum(",".join(terms) + "->" + _SET[:n] + _OUT[:n], E, *us) / 2**n
+def _functional_tensor(coeffs: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """K with one axis per party, indexed by its flattened (x, a, Pauli)
+    label: coeffs * E / 2**n.  The functional's value is K contracted with
+    every party's u-vector."""
+    n = E.ndim
+    labels = "".join(_SET[p] + _OUT[p] + _PAU[p] for p in range(n))
+    K = np.einsum(f"{_SET[:n]}{_OUT[:n]},{_PAU[:n]}->{labels}", coeffs, E) / 2**n
+    return K.reshape([coeffs.shape[p] * coeffs.shape[n + p] * 4 for p in range(n)])
 
 
-def _party_field(coeffs: np.ndarray, E: np.ndarray, us: list[np.ndarray], q: int) -> np.ndarray:
-    """W[x, a, u]: the functional's linear coefficients on party q's u-vector."""
-    n = len(us)
-    terms = [_SET[:n] + _OUT[:n], _PAU[:n]]
-    args = [coeffs, E]
-    for p in range(n):
-        if p != q:
-            terms.append(_SET[p] + _OUT[p] + _PAU[p])
-            args.append(us[p])
-    sub = ",".join(terms) + "->" + _SET[q] + _OUT[q] + _PAU[q]
-    return np.einsum(sub, *args) / 2**n
+def _party_field(K: np.ndarray, us: np.ndarray, q: int) -> np.ndarray:
+    """W[..., :]: the functional's linear coefficients on party q's u-vector,
+    K contracted with every other party's, one matrix product per party."""
+    order = list(range(K.ndim))
+    order[0], order[q] = q, 0
+    w = K.transpose(order).reshape(-1)
+    for p in reversed(order[1:]):
+        w = (w.reshape(w.shape[:-1] + (-1, K.shape[p])) @ us[..., p, :, None])[..., 0]
+    return w
 
 
-def _seesaw_linear(coeffs: np.ndarray, E: np.ndarray, vecs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Round-robin closed-form Bloch updates until the value stalls."""
-    n_parties = vecs.shape[0]
-    us = _u_arrays(vecs)
-    value = float(np.sum(coeffs * _box_table(E, us)))
+def _value(K: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The functional's value, per leading batch index of ``us``."""
+    return np.sum(_party_field(K, us, 0) * us[..., 0, :], axis=-1)
+
+
+def _seesaw_linear(K: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin closed-form Bloch updates of every restart at once.
+
+    ``vecs`` is ``(restarts, n_parties, n_settings, 3)`` and is updated in
+    place.  Each restart stops at its own stall (a sweep that gains less
+    than ``_SEESAW_FTOL``) or after ``_SEESAW_MAX_SWEEPS``; only the
+    restarts still running are swept.  A setting whose field vanishes keeps
+    its direction.  Returns the per-restart values and ``vecs``.
+    """
+    value = _value(K, _u_arrays(vecs))
+    run = np.arange(len(vecs))
     for _ in range(_SEESAW_MAX_SWEEPS):
-        for q in range(n_parties):
-            W = _party_field(coeffs, E, us, q)
-            for x in range(vecs.shape[1]):
-                g = W[x, 0, 1:] - W[x, 1, 1:]
-                nrm = float(np.linalg.norm(g))
-                if nrm > 1e-15:
-                    vecs[q, x] = g / nrm
-            us[q] = _u_arrays(vecs)[q]
-        new = float(np.sum(coeffs * _box_table(E, us)))
-        if new - value < _SEESAW_FTOL:
-            value = max(value, new)
+        v = vecs[run]
+        for q in range(v.shape[1]):
+            W = _party_field(K, _u_arrays(v), q).reshape(v.shape[0], -1, 2, 4)
+            g = W[..., 0, 1:] - W[..., 1, 1:]
+            nrm = np.linalg.norm(g, axis=-1, keepdims=True)
+            np.divide(g, nrm, out=v[:, q], where=nrm > 1e-15)
+        new = _value(K, _u_arrays(v))
+        vecs[run] = v
+        stalled = new - value[run] < _SEESAW_FTOL
+        value[run] = np.where(stalled, np.maximum(value[run], new), new)
+        run = run[~stalled]
+        if run.size == 0:
             break
-        value = new
     return value, vecs
 
 
@@ -191,11 +209,14 @@ def _hardy_kets(M: np.ndarray, angles: np.ndarray) -> list[np.ndarray]:
     return [k / np.linalg.norm(k) for k in (a0, a1, b0, b1)]
 
 
-def _optimize_hardy(state: DensityMatrix, restarts: int, rng: np.random.Generator) -> MeasurementFamily:
+def _optimize_hardy(
+    state: DensityMatrix, restarts: int, rng: np.random.Generator
+) -> tuple[MeasurementFamily, list[float]]:
     """Maximize p(00|00) = |a0^dag M conj(b0)|^2 over the exact feasible set.
 
     ``M`` is the top eigenvector of rho, and each restart is a Nelder-Mead
-    search over the two Bloch angles of a1 (see ``_hardy_kets``).  On a
+    search over the two Bloch angles of a1 (see ``_hardy_kets``); its value
+    is returned per restart with the best family.  On a
     pure state every point meets the zero constraints up to rounding, so no
     value passes the gate of ``HardyScore.evaluate`` by a tolerance.
 
@@ -216,16 +237,15 @@ def _optimize_hardy(state: DensityMatrix, restarts: int, rng: np.random.Generato
         a0, _, b0, _ = _hardy_kets(M, angles)
         return -abs(np.vdot(a0, M @ b0.conj())) ** 2
 
-    best_score = -np.inf
+    runs = []
     for _ in range(restarts):
         x0 = rng.uniform(0.0, np.pi, 2)
         x0[1] *= 2.0
-        res = minimize(neg_value, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-14})
-        if -res.fun > best_score:
-            best_score = -res.fun
-            best_angles = res.x
+        runs.append(minimize(neg_value, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-14}))
+    values = [-res.fun for res in runs]
+    best_angles = runs[int(np.argmax(values))].x
     bloch = [[np.vdot(k, s @ k).real for s in PAULI[1:]] for k in _hardy_kets(M, best_angles)]
-    return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3)))
+    return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3))), values
 
 
 def _functional_parties(f: BellFunctional) -> int:
@@ -260,23 +280,17 @@ def optimize_yield(
     rng = np.random.default_rng(seed)
 
     if isinstance(f, HardyScore):
-        family = _optimize_hardy(state, restarts, rng)
+        family, restart_values = _optimize_hardy(state, restarts, rng)
     else:
-        E = pauli_expectations(state)
-        best_score = -np.inf
-        best_angles = None
-        coeffs = f.coefficients()
-        for _ in range(restarts):
-            v0 = rng.standard_normal((n, 2, 3))
-            v0 /= np.linalg.norm(v0, axis=-1, keepdims=True)
-            score, vecs = _seesaw_linear(coeffs, E, v0)
-            if score > best_score:
-                best_score = score
-                best_angles = _vecs_to_angles(vecs)
+        K = _functional_tensor(f.coefficients(), pauli_expectations(state))
+        v0 = rng.standard_normal((restarts, n, 2, 3))
+        v0 /= np.linalg.norm(v0, axis=-1, keepdims=True)
+        restart_values, vecs = _seesaw_linear(K, v0)
+        best = int(np.argmax(restart_values))
+        best_angles = _vecs_to_angles(vecs[best])
 
         def neg_value(flat: np.ndarray) -> float:
-            vv = _angles_to_vecs(flat.reshape(n, 2, 2))
-            return -float(np.sum(coeffs * _box_table(E, _u_arrays(vv))))
+            return -float(_value(K, _u_arrays(_angles_to_vecs(flat.reshape(n, 2, 2)))))
 
         res = minimize(
             neg_value,
@@ -284,12 +298,12 @@ def optimize_yield(
             method="Nelder-Mead",
             options={"maxfev": 800, "xatol": 1e-12, "fatol": 1e-13},
         )
-        if -res.fun > best_score:
+        if -res.fun > restart_values[best]:
             best_angles = res.x.reshape(n, 2, 2)
         family = MeasurementFamily(best_angles)
 
     value = f.evaluate(born_box(state, family))
-    return YieldResult(value, family, restarts, seed)
+    return YieldResult(value, family, restarts, seed, tuple(float(v) for v in restart_values))
 
 
 def horodecki_chsh(state: DensityMatrix | PureState) -> float:

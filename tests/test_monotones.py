@@ -20,6 +20,7 @@ from losrkit import (
     pauli_expectations,
     sample_losr_channel,
 )
+from losrkit.monotones import _functional_tensor, _seesaw_linear
 from conftest import random_density, random_unitary
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -31,6 +32,52 @@ def hardy_closed_form(amplitudes) -> float:
     with Schmidt coefficients c and s."""
     c, s = np.linalg.svd(np.reshape(amplitudes, (2, 2)), compute_uv=False)
     return float((c * s * (c - s) / (1 - c * s)) ** 2)
+
+
+def seesaw_reference(coeffs, E, vecs, ftol=1e-10, max_sweeps=500):
+    """One restart at a time: the functional on the Born-rule table built
+    from the Pauli tensor, and each setting's Bloch vector set to its field
+    in turn.  Returns (value, vecs, sweeps run)."""
+    n = E.ndim
+    sets, outs, paus = "ijk"[:n], "abc"[:n], "uvw"[:n]
+
+    def u_vectors(v):
+        us = []
+        for p in range(n):
+            u = np.empty((v.shape[1], 2, 4))
+            u[:, :, 0] = 1.0
+            u[:, 0, 1:] = v[p]
+            u[:, 1, 1:] = -v[p]
+            us.append(u)
+        return us
+
+    def value(v):
+        terms = ",".join([paus] + [sets[p] + outs[p] + paus[p] for p in range(n)])
+        table = np.einsum(terms + "->" + sets + outs, E, *u_vectors(v)) / 2**n
+        return float(np.sum(coeffs * table))
+
+    vecs = vecs.copy()
+    current = value(vecs)
+    for sweep in range(1, max_sweeps + 1):
+        for q in range(n):
+            us = u_vectors(vecs)
+            terms = [sets + outs, paus] + [sets[p] + outs[p] + paus[p] for p in range(n) if p != q]
+            args = [coeffs, E] + [us[p] for p in range(n) if p != q]
+            W = np.einsum(",".join(terms) + "->" + sets[q] + outs[q] + paus[q], *args) / 2**n
+            for x in range(vecs.shape[1]):
+                g = W[x, 0, 1:] - W[x, 1, 1:]
+                if np.linalg.norm(g) > 1e-15:
+                    vecs[q, x] = g / np.linalg.norm(g)
+        new = value(vecs)
+        if new - current < ftol:
+            return max(current, new), vecs, sweep
+        current = new
+    return current, vecs, max_sweeps
+
+
+def random_starts(seed, restarts, n):
+    v = np.random.default_rng(seed).standard_normal((restarts, n, 2, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 class TestMeasurementFamily:
@@ -160,6 +207,70 @@ class TestHardyFeasibleSet:
     def test_full_rank_mixed_state_is_zero(self, rng):
         res = optimize_yield(random_density(rng, (2, 2)), HardyScore(), restarts=6, seed=5)
         assert res.value == 0.0
+
+    def test_phi_plus_never_negative(self):
+        for seed in range(20):
+            assert optimize_yield(catalog.phi_plus(), HardyScore(), restarts=4, seed=seed).value >= 0.0
+
+
+class TestSeesawBatch:
+    """The batched see-saw against one restart at a time."""
+
+    @staticmethod
+    def check_batch(state, f, starts):
+        rho = state.density() if isinstance(state, PureState) else state
+        E, coeffs = pauli_expectations(rho), f.coefficients()
+        values, vecs = _seesaw_linear(_functional_tensor(coeffs, E), starts.copy())
+        sweeps = []
+        for r, start in enumerate(starts):
+            ref_value, ref_vecs, ref_sweeps = seesaw_reference(coeffs, E, start)
+            assert abs(values[r] - ref_value) <= 1e-12
+            assert np.max(np.abs(vecs[r] - ref_vecs)) <= 1e-12
+            sweeps.append(ref_sweeps)
+        return E, coeffs, vecs, sweeps
+
+    def test_restarts_match_sequential_reference(self, rng):
+        cases = [
+            (catalog.partial(0.3), CHSH()),
+            (catalog.partial(0.3), TiltedCHSH(0.25)),
+            (catalog.ghz(), MerminGHZ()),
+            (random_density(rng, (2, 2, 2)), MerminGHZ()),
+        ]
+        for state, f in cases:
+            self.check_batch(state, f, random_starts(4, 6, state.n_parties))
+
+    def test_stopped_restarts_stay_frozen(self):
+        # Near maximal entanglement most restarts reach the sweep cap, the
+        # all-z and z/x starts stall after one and two sweeps, and restarts
+        # that stall in between would still move if they were swept on.
+        lam = 0.45
+        state = PureState((2, 2), [np.sqrt(1 - lam), 0, 0, np.sqrt(lam)])
+        zx = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        starts = np.concatenate([random_starts(1, 8, 2), [np.tile([0.0, 0.0, 1.0], (2, 2, 1)), [zx, zx]]])
+        E, coeffs, vecs, sweeps = self.check_batch(state, CHSH(), starts)
+        assert sweeps[-2:] == [1, 2] and max(sweeps) == 500
+        early = [r for r, k in enumerate(sweeps) if 2 < k < 500]
+        assert early
+        for r in early:
+            _, swept_on, _ = seesaw_reference(coeffs, E, starts[r], ftol=-np.inf)
+            assert np.max(np.abs(swept_on - vecs[r])) > 1e-12
+
+    def test_restart_values_in_result(self):
+        cases = [
+            (catalog.partial(0.3), TiltedCHSH(0.25)),
+            (catalog.phi_plus(), CHSH()),
+            (catalog.ghz(), MerminGHZ()),
+        ]
+        for state, f in cases:
+            res = optimize_yield(state, f, restarts=6, seed=2)
+            starts = random_starts(2, 6, state.n_parties)
+            K = _functional_tensor(f.coefficients(), pauli_expectations(state.density()))
+            values, _ = _seesaw_linear(K, starts)
+            assert res.restart_values == tuple(values)
+            assert max(res.restart_values) <= res.value + 1e-12
+        res = optimize_yield(catalog.partial(0.4387), HardyScore(), restarts=5, seed=1)
+        assert len(res.restart_values) == 5
+        assert abs(max(res.restart_values) - res.value) <= 1e-12
 
 
 class TestPauliExpectations:
