@@ -2,7 +2,7 @@
 local-polytope classification of boxes, and yield monotones by measurement
 optimization."""
 
-from .config import Tolerances, tolerances
+from .config import Tolerances
 from .states import (
     Bipartition,
     DensityMatrix,

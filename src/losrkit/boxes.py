@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import _resolve, tolerances
+from . import config
 
 # Outcome encoding used by every correlator: outcome 0 -> +1, outcome 1 -> -1.
 def outcome_sign(a: int) -> int:
@@ -253,11 +253,10 @@ class HardyScore:
         _require_shape(box, (2, 2), (2, 2), "HardyScore")
         return float(max(box.table[e] for e in self.zero_entries))
 
-    def evaluate(self, box: Box, eps_hardy: float | None = None) -> float:
+    def evaluate(self, box: Box) -> float:
         """The objective probability if all zero constraints hold, else 0.
         Rounding can leave the entry slightly below 0; it is reported as 0."""
-        eps = _resolve(eps_hardy, tolerances.eps_hardy)
-        if self.constraint_violation(box) > eps:
+        if self.constraint_violation(box) > config.current().eps_hardy:
             return 0.0
         return max(0.0, float(box.table[self.objective_entry]))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import catalog, config
 from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
@@ -40,11 +39,13 @@ def _load_any(name: str):
     if os.path.exists(name):
         try:
             return load_state(name)
-        except ValueError:
+        except ValueError as state_exc:
             try:
                 return load_box(name)
-            except ValueError as exc:
-                raise InputError(f"cannot parse {name}: {exc}") from exc
+            except ValueError as box_exc:
+                raise InputError(
+                    f"cannot parse {name}: as a state, {state_exc}; as a box, {box_exc}"
+                ) from box_exc
     raise InputError(
         f"{name!r} is neither a catalog entry ({', '.join(catalog.names())}) nor a readable file"
     )
@@ -79,10 +80,7 @@ def _functional(name: str, alpha: float):
 
 def cmd_schmidt(args) -> int:
     psi = _load_pure(args.state)
-    try:
-        beta = Bipartition.parse(args.bipartition, psi.n_parties)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    beta = Bipartition.parse(args.bipartition, psi.n_parties)
     spec = schmidt_spectrum(psi, beta)
     print(" ".join(_fmt(v) for v in spec.values))
     if args.long:
@@ -119,10 +117,7 @@ def cmd_factor(args) -> int:
             raise InputError("--bipartition is required for more than two parties")
         beta = Bipartition(frozenset({0}), 2)
     else:
-        try:
-            beta = Bipartition.parse(args.bipartition, psi.n_parties)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        beta = Bipartition.parse(args.bipartition, psi.n_parties)
     res = factor_spectrum(schmidt_spectrum(psi, beta), schmidt_spectrum(phi, beta))
     if res.found:
         print("found " + " ".join(_fmt(v) for v in res.lambda_zeta.values))
@@ -136,10 +131,7 @@ def cmd_factor(args) -> int:
 
 def cmd_box_local(args) -> int:
     box = _load_box_arg(args.box)
-    try:
-        result = local_membership(box)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = local_membership(box)
     if isinstance(result, LocalModel):
         print(f"Local reconstruction_error {_fmt(result.reconstruction_error)}")
         if args.long:
@@ -158,10 +150,7 @@ def cmd_box_local(args) -> int:
 def cmd_box_eval(args) -> int:
     box = _load_box_arg(args.box)
     f = _functional(args.functional, args.alpha)
-    try:
-        value = f.evaluate(box)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    value = f.evaluate(box)
     print(_fmt(value))
     if args.long and isinstance(f, HardyScore):
         print(f"max zero-constraint violation {_fmt(f.constraint_violation(box))}")
@@ -171,10 +160,7 @@ def cmd_box_eval(args) -> int:
 def cmd_yield(args) -> int:
     psi = _load_pure(args.state)
     f = _functional(args.functional, args.alpha)
-    try:
-        result = optimize_yield(psi, f, restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = optimize_yield(psi, f, restarts=args.restarts, seed=args.seed)
     print(result.to_text())
     return 0
 
@@ -183,18 +169,15 @@ def cmd_selftest_scan(args) -> int:
     f = _functional(args.functional, args.alpha)
     target_state = _load_pure(args.target_state)
     candidates = [_load_pure(name) for name in args.candidates]
-    try:
-        report = closure_scan(
-            f,
-            args.target_value,
-            target_state,
-            candidates,
-            tol=args.tol,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = closure_scan(
+        f,
+        args.target_value,
+        target_state,
+        candidates,
+        tol=args.tol,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
     print(report.to_text())
     return 0
 
@@ -212,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="losrkit",
         description="LOSR-entanglement convertibility, box classification, and yield monotones.",
     )
-    parser.add_argument("--eps-norm", type=float, default=None, help="normalization tolerance")
-    parser.add_argument("--tau-rank", type=float, default=None, help="Schmidt rank cutoff")
-    parser.add_argument("--eps-match", type=float, default=None, help="spectrum matching tolerance")
+    parser.add_argument("--eps-norm", type=float, default=None, help="normalization tolerance, in (0, 1)")
+    parser.add_argument("--tau-rank", type=float, default=None, help="Schmidt rank cutoff, in (0, 1)")
+    parser.add_argument("--eps-match", type=float, default=None, help="spectrum matching tolerance, in (0, 1)")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomized procedures")
     parser.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
     parser.add_argument("--long", action="store_true", help="append prose to the records")
@@ -275,22 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # The tolerance flags hold for this call only; library calls made later
-    # in the same process see the previous values again.
-    saved = replace(config.tolerances)
-    if args.eps_norm is not None:
-        config.tolerances.eps_norm = args.eps_norm
-    if args.tau_rank is not None:
-        config.tolerances.tau_rank = args.tau_rank
-    if args.eps_match is not None:
-        config.tolerances.eps_match = args.eps_match
+    # The tolerance flags that were given hold for this call only.
+    names = ("eps_norm", "tau_rank", "eps_match")
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
-        return args.func(args)
-    except InputError as exc:
+        with config.override(**flags):
+            return args.func(args)
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        vars(config.tolerances).update(vars(saved))
 
 
 if __name__ == "__main__":

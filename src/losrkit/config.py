@@ -1,13 +1,22 @@
-"""Global numerical tolerances, overridable per call or via the CLI flags."""
+"""Numerical tolerances: one immutable set in effect per thread and task.
+
+``current()`` returns the set in effect.  ``override(**changes)`` replaces
+fields for the length of one ``with`` block and restores the previous set on
+exit, exceptions included.  The set lives in a context variable (PEP 567), so
+an override is seen only by the thread or asyncio task that made it, and a
+new thread starts from the defaults.  The CLI flags enter the same way.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields, replace
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
-    """Default tolerances for the whole toolkit.
+    """Tolerances for the whole toolkit; every field lies in (0, 1).
 
     eps_norm   -- normalization / Hermiticity checks (double-precision SVD
                   error with headroom).
@@ -25,9 +34,27 @@ class Tolerances:
     eps_match: float = 1e-8
     eps_hardy: float = 1e-7
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # False for nan and for infinities as well.
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{f.name} must be a finite number in (0, 1), got {value!r}")
 
-tolerances = Tolerances()
+
+_current: ContextVar[Tolerances] = ContextVar("losrkit_tolerances", default=Tolerances())
 
 
-def _resolve(value: float | None, default: float) -> float:
-    return default if value is None else value
+def current() -> Tolerances:
+    """The tolerances in effect in this thread or task."""
+    return _current.get()
+
+
+@contextmanager
+def override(**changes: float):
+    """Replace the named tolerance fields inside one ``with`` block."""
+    token = _current.set(replace(current(), **changes))
+    try:
+        yield current()
+    finally:
+        _current.reset(token)

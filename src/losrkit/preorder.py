@@ -24,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .config import _resolve, tolerances
+from . import config
 from .states import Bipartition, PureState, SchmidtSpectrum, all_bipartitions, schmidt_spectrum
 
 
@@ -93,16 +93,11 @@ class ConversionVerdict:
         return self.direction in (Direction.EQUIVALENT, Direction.PSI_TO_PHI_ONLY)
 
 
-def spectra_equal(
-    l1: SchmidtSpectrum,
-    l2: SchmidtSpectrum,
-    eps_match: float | None = None,
-    tau_rank: float | None = None,
-) -> bool:
+def spectra_equal(l1: SchmidtSpectrum, l2: SchmidtSpectrum) -> bool:
     """Equality of spectra up to permutation, after dropping rank-cutoff zeros."""
-    eps = _resolve(eps_match, tolerances.eps_match)
-    a = l1.truncated(tau_rank)
-    b = l2.truncated(tau_rank)
+    eps = config.current().eps_match
+    a = l1.truncated()
+    b = l2.truncated()
     return a.size == b.size and (a.size == 0 or float(np.max(np.abs(a - b))) <= eps)
 
 
@@ -118,10 +113,12 @@ def _tensor_sorted(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return np.sort(np.kron(phi, zeta))[::-1]
 
 
-def _finish(zeta, psi, phi, eps) -> FactorizationResult:
+def _finish(zeta, psi, phi) -> FactorizationResult:
     """Validate a candidate auxiliary spectrum and classify tolerance margin."""
+    tol = config.current()
+    eps = tol.eps_match
     zeta = np.asarray(zeta, dtype=float)
-    if abs(zeta.sum() - 1.0) > max(eps * zeta.size, tolerances.eps_norm):
+    if abs(zeta.sum() - 1.0) > max(eps * zeta.size, tol.eps_norm):
         return FactorizationResult(False, None, np.inf, Reason.FACTORIZATION_FAILED)
     zeta = zeta / zeta.sum()
     residual = float(np.max(np.abs(_tensor_sorted(phi, zeta) - psi)))
@@ -134,21 +131,16 @@ def _finish(zeta, psi, phi, eps) -> FactorizationResult:
     )
 
 
-def factor_spectrum(
-    l_psi: SchmidtSpectrum,
-    l_phi: SchmidtSpectrum,
-    eps_match: float | None = None,
-    tau_rank: float | None = None,
-) -> FactorizationResult:
+def factor_spectrum(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> FactorizationResult:
     """Find lambda_zeta with (l_phi tensor lambda_zeta) sorted = l_psi, if any.
 
     Greedy multiset peeling, k = rank(psi)/rank(phi) rounds.  Ties among equal
     source entries are consumed in sorted order, and each removal picks the
     closest available entry, so degenerate spectra match deterministically.
     """
-    eps = _resolve(eps_match, tolerances.eps_match)
-    psi = l_psi.truncated(tau_rank)
-    phi = l_phi.truncated(tau_rank)
+    eps = config.current().eps_match
+    psi = l_psi.truncated()
+    phi = l_phi.truncated()
     k = rank_ratio_admissible(psi.size, phi.size)
     if k is None:
         return FactorizationResult(False, None, np.inf, Reason.RANK_RATIO_NON_INTEGER)
@@ -166,20 +158,15 @@ def factor_spectrum(
                 )
             del remaining[j]
         zeta.append(z)
-    return _finish(zeta, psi, phi, eps)
+    return _finish(zeta, psi, phi)
 
 
-def factor_spectrum_bruteforce(
-    l_psi: SchmidtSpectrum,
-    l_phi: SchmidtSpectrum,
-    eps_match: float | None = None,
-    tau_rank: float | None = None,
-) -> FactorizationResult:
+def factor_spectrum_bruteforce(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> FactorizationResult:
     """Exhaustive oracle: try every assignment of source entries to the
     rank(phi) x k grid.  Factorial in rank(psi); keep ranks <= 8."""
-    eps = _resolve(eps_match, tolerances.eps_match)
-    psi = l_psi.truncated(tau_rank)
-    phi = l_phi.truncated(tau_rank)
+    eps = config.current().eps_match
+    psi = l_psi.truncated()
+    phi = l_phi.truncated()
     k = rank_ratio_admissible(psi.size, phi.size)
     if k is None:
         return FactorizationResult(False, None, np.inf, Reason.RANK_RATIO_NON_INTEGER)
@@ -203,7 +190,7 @@ def factor_spectrum_bruteforce(
                 break
             zeta.append(z)
         if ok:
-            res = _finish(sorted(zeta, reverse=True), psi, phi, eps)
+            res = _finish(sorted(zeta, reverse=True), psi, phi)
             if res.found:
                 return res
         best_gap = min(best_gap, gap_here)
@@ -224,19 +211,19 @@ def _direction_report_bipartite(res: FactorizationResult, beta: Bipartition) -> 
     return DirectionReport(True, res.reason, blocked_at=beta, borderline=res.borderline)
 
 
-def compare_bipartite(psi: PureState, phi: PureState, eps_match: float | None = None) -> ConversionVerdict:
+def compare_bipartite(psi: PureState, phi: PureState) -> ConversionVerdict:
     """Exact convertibility decision for two bipartite pure states."""
     if psi.n_parties != 2 or phi.n_parties != 2:
         raise ValueError("compare_bipartite needs 2-party states; use multipartite_check")
     beta_psi = _single_bipartition()
     l_psi = schmidt_spectrum(psi, beta_psi)
     l_phi = schmidt_spectrum(phi, beta_psi)
-    fwd = factor_spectrum(l_psi, l_phi, eps_match)
-    bwd = factor_spectrum(l_phi, l_psi, eps_match)
+    fwd = factor_spectrum(l_psi, l_phi)
+    bwd = factor_spectrum(l_phi, l_psi)
     f_rep = _direction_report_bipartite(fwd, beta_psi)
     b_rep = _direction_report_bipartite(bwd, beta_psi)
     borderline = fwd.borderline or bwd.borderline
-    if spectra_equal(l_psi, l_phi, eps_match):
+    if spectra_equal(l_psi, l_phi):
         witness = ((beta_psi, SchmidtSpectrum(np.array([1.0]))),)
         return ConversionVerdict(
             Direction.EQUIVALENT, Reason.DECIDED, witness, f_rep, b_rep, borderline
@@ -272,13 +259,12 @@ def _check_direction(
     spectra_dst: dict[Bipartition, SchmidtSpectrum],
     betas: list[Bipartition],
     n: int,
-    eps_match: float | None,
 ) -> DirectionReport:
     """Necessity test for one conversion direction across all bipartitions."""
     zetas = []
     borderline = False
     for beta in betas:
-        res = factor_spectrum(spectra_src[beta], spectra_dst[beta], eps_match)
+        res = factor_spectrum(spectra_src[beta], spectra_dst[beta])
         borderline = borderline or res.borderline
         if not res.found:
             return DirectionReport(True, res.reason, blocked_at=beta, borderline=borderline)
@@ -303,7 +289,7 @@ def _check_direction(
     )
 
 
-def multipartite_check(psi: PureState, phi: PureState, eps_match: float | None = None) -> ConversionVerdict:
+def multipartite_check(psi: PureState, phi: PureState) -> ConversionVerdict:
     """Necessary-condition screening for n >= 3 parties.
 
     Both directions are tested bipartition by bipartition; a direction
@@ -321,8 +307,8 @@ def multipartite_check(psi: PureState, phi: PureState, eps_match: float | None =
     betas = all_bipartitions(n)
     sp_psi = {b: schmidt_spectrum(psi, b) for b in betas}
     sp_phi = {b: schmidt_spectrum(phi, b) for b in betas}
-    fwd = _check_direction(sp_psi, sp_phi, betas, n, eps_match)
-    bwd = _check_direction(sp_phi, sp_psi, betas, n, eps_match)
+    fwd = _check_direction(sp_psi, sp_phi, betas, n)
+    bwd = _check_direction(sp_phi, sp_psi, betas, n)
     borderline = fwd.borderline or bwd.borderline
     if fwd.ruled_out and bwd.ruled_out:
         return ConversionVerdict(
@@ -334,9 +320,7 @@ def multipartite_check(psi: PureState, phi: PureState, eps_match: float | None =
     )
 
 
-def catalytic_convertible(
-    psi: PureState, phi: PureState, chi: PureState, eps_match: float | None = None
-) -> bool:
+def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> bool:
     """Whether psi (x) chi converts to phi (x) chi, decided on tensored spectra."""
     for s, name in ((psi, "psi"), (phi, "phi"), (chi, "chi")):
         if s.n_parties != 2:
@@ -345,7 +329,7 @@ def catalytic_convertible(
     l_chi = schmidt_spectrum(chi, beta)
     l_src = schmidt_spectrum(psi, beta).tensor(l_chi)
     l_dst = schmidt_spectrum(phi, beta).tensor(l_chi)
-    return factor_spectrum(l_src, l_dst, eps_match).found
+    return factor_spectrum(l_src, l_dst).found
 
 
 def verdict_to_text(v: ConversionVerdict, long: bool = False) -> str:

@@ -3,7 +3,9 @@
 Pure states and density matrices carry an explicit tuple of local dimensions;
 every operation (tensor products, partial traces, local channels, Schmidt
 spectra, Born-rule boxes) is a pure function of its inputs.  All values are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  Constructors
+and rank cutoffs read ``config.current()``: a tolerance override holds for
+the thread or task that made it, and a new thread starts from the defaults.
 
 Dense eigendecompositions cap the practical total dimension at a few thousand;
 everything here is meant for desk-scale checks, not bulk simulation.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _resolve, tolerances
+from . import config
 
 # Auto-normalization threshold: small drifts are repaired with a warning,
 # anything larger is treated as a malformed input rather than rescaled away.
@@ -59,7 +61,7 @@ class PureState:
         dev = abs(nrm - 1.0)
         if dev > NORM_REPAIR_LIMIT:
             raise ValueError(f"state norm {nrm:.6g} too far from 1 to repair")
-        if dev > tolerances.eps_norm:
+        if dev > config.current().eps_norm:
             warnings.warn(f"renormalizing state (norm deviation {dev:.3g})")
             amp = amp / nrm
         amp.setflags(write=False)
@@ -95,7 +97,7 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        eps = tolerances.eps_norm
+        eps = config.current().eps_norm
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > eps:
             raise ValueError(f"matrix not Hermitian (deviation {herm_dev:.3g})")
@@ -198,7 +200,7 @@ class SchmidtSpectrum:
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
-        eps = tolerances.eps_norm
+        eps = config.current().eps_norm
         if vals.size and vals[-1] < -eps:
             raise ValueError(f"spectrum entry {vals[-1]:.3g} below zero")
         np.clip(vals, 0.0, None, out=vals)
@@ -207,13 +209,12 @@ class SchmidtSpectrum:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def rank(self, tau_rank: float | None = None) -> int:
-        return schmidt_rank(self, tau_rank)
+    def rank(self) -> int:
+        return schmidt_rank(self)
 
-    def truncated(self, tau_rank: float | None = None) -> np.ndarray:
+    def truncated(self) -> np.ndarray:
         """Entries above the rank cutoff, still descending."""
-        tau = _resolve(tau_rank, tolerances.tau_rank)
-        return self.values[self.values > tau]
+        return self.values[self.values > config.current().tau_rank]
 
     def tensor(self, other: SchmidtSpectrum) -> SchmidtSpectrum:
         return SchmidtSpectrum(np.kron(self.values, other.values))
@@ -235,7 +236,7 @@ class LocalChannelFamily:
     components: tuple[tuple[float, tuple[tuple[np.ndarray, ...], ...]], ...]
 
     def __post_init__(self):
-        eps = tolerances.eps_norm
+        eps = config.current().eps_norm
         comps = []
         weights = []
         out_dims = None
@@ -370,12 +371,9 @@ def schmidt_spectrum(psi: PureState, beta: Bipartition) -> SchmidtSpectrum:
     return SchmidtSpectrum(evals / evals.sum())
 
 
-def schmidt_rank(spec: SchmidtSpectrum, tau_rank: float | None = None) -> int:
+def schmidt_rank(spec: SchmidtSpectrum) -> int:
     """Number of spectrum entries strictly above the rank cutoff."""
-    tau = _resolve(tau_rank, tolerances.tau_rank)
-    if tau <= 0:
-        raise ValueError("tau_rank must be positive")
-    return int(np.sum(spec.values > tau))
+    return int(np.sum(spec.values > config.current().tau_rank))
 
 
 def _conjugate_local(t: np.ndarray, kraus: np.ndarray, p: int) -> np.ndarray:

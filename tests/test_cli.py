@@ -47,9 +47,18 @@ class TestSchmidt:
     def test_tolerance_flags_do_not_leak(self, capsys):
         code, out, _ = run(capsys, "--tau-rank", "0.3", "schmidt", "two_bell", "A|BC")
         assert code == 0
-        assert config.tolerances == Tolerances()
+        assert config.current() == Tolerances()
         spec = schmidt_spectrum(catalog.two_bell(), Bipartition.parse("A|BC", 3))
         assert spec.rank() == 4
+
+    def test_malformed_state_file_names_both_parsers(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\n0.7 x\n0 0\n0 0\n0.7 0\n")
+        code, out, err = run(capsys, "schmidt", str(path), "A|B")
+        assert code == 2
+        assert out == ""
+        assert "could not convert string to float: 'x'" in err
+        assert err.index("as a state") < err.index("as a box")
 
     def test_bad_bipartition_is_input_error(self, capsys):
         code, _, err = run(capsys, "schmidt", "phi_plus", "A|X")
@@ -233,3 +242,27 @@ class TestDemos:
         code, out, _ = run(capsys, "demo", "always_fails")
         assert code == 1
         assert "demo result: fail" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tolerance flags outside (0, 1)
+        ["--eps-match", "-1", "compare", "phi_plus", "phi_plus"],
+        ["--eps-match", "inf", "factor", "phi_plus", "partial(0.3)"],
+        ["--eps-norm", "nan", "schmidt", "phi_plus", "A|B"],
+        ["--eps-norm", "-1", "schmidt", "phi_plus", "A|B"],
+        ["--long", "--tau-rank", "0", "schmidt", "phi_plus", "A|B"],
+        # malformed inputs that the library rejects with ValueError
+        ["compare", "phi_plus", "partial(abc)"],
+        ["compare", "phi_plus", "max_entangled(0)"],
+        ["--tau-rank", "0.9", "compare", "phi_plus", "partial(0.3)"],
+    ],
+)
+def test_malformed_input_exits_two_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")

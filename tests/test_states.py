@@ -15,6 +15,7 @@ from losrkit import (
     apply_channel,
     born_box,
     catalog,
+    config,
     group_parties,
     is_no_signaling,
     load_state,
@@ -202,7 +203,8 @@ class TestSchmidtSpectrum:
         assert schmidt_rank(SchmidtSpectrum(np.array([1.0]))) == 1
         assert schmidt_rank(SchmidtSpectrum(np.array([0.25] * 4))) == 4
         with pytest.raises(ValueError):
-            schmidt_rank(SchmidtSpectrum(np.array([1.0])), tau_rank=0.0)
+            with config.override(tau_rank=0.0):
+                schmidt_rank(SchmidtSpectrum(np.array([1.0])))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
@@ -211,9 +213,10 @@ class TestSchmidtSpectrum:
         dims = tuple(int(rng.integers(2, 4)) for _ in range(n))
         psi = random_pure(rng, dims)
         for beta in all_bipartitions(n):
-            left = schmidt_spectrum(psi, beta).truncated(1e-12)
             comp = Bipartition(beta.right, n)
-            right = schmidt_spectrum(psi, comp).truncated(1e-12)
+            with config.override(tau_rank=1e-12):
+                left = schmidt_spectrum(psi, beta).truncated()
+                right = schmidt_spectrum(psi, comp).truncated()
             assert abs(left.sum() - 1.0) < 1e-9
             assert len(left) == len(right)
             assert np.allclose(left, right, atol=1e-9)
@@ -226,7 +229,8 @@ class TestSchmidtSpectrum:
         chi = random_pure(rng, (2, 2))
         joint = tensor_product(psi, chi)  # parties (A1, B1, A2, B2)
         beta = Bipartition(frozenset({0, 2}), 4)
-        got = schmidt_spectrum(joint, beta).truncated(1e-12)
+        with config.override(tau_rank=1e-12):
+            got = schmidt_spectrum(joint, beta).truncated()
         expect = np.sort(
             np.kron(
                 schmidt_spectrum(psi, AB).values, schmidt_spectrum(chi, AB).values
