@@ -109,19 +109,22 @@ _PLAIN_BOXES = {
 
 
 def resolve(name: str) -> PureState | Box:
-    """Look up a catalog entry by name; raises KeyError for unknown names."""
+    """Look up a catalog entry by name; raises KeyError for unknown names and
+    a ValueError naming the entry for a bad argument."""
     key = name.strip().lower()
     if key in _PLAIN_STATES:
         return _PLAIN_STATES[key]()
     if key in _PLAIN_BOXES:
         return _PLAIN_BOXES[key]()
     m = _PARAM_RE.match(key)
-    if m:
-        head, arg = m.group(1), m.group(2)
+    head, arg = m.groups() if m else (None, None)
+    try:
         if head == "partial":
             return partial(float(arg))
         if head == "max_entangled":
             return max_entangled(int(arg))
+    except ValueError as exc:
+        raise ValueError(f"bad catalog entry {name!r}: {exc}") from exc
     raise KeyError(f"unknown catalog entry: {name!r}")
 
 

@@ -82,9 +82,10 @@ def cmd_schmidt(args) -> int:
     psi = _load_pure(args.state)
     beta = Bipartition.parse(args.bipartition, psi.n_parties)
     spec = schmidt_spectrum(psi, beta)
-    print(" ".join(_fmt(v) for v in spec.values))
+    lines = [" ".join(_fmt(v) for v in spec.values)]
     if args.long:
-        print(f"rank {spec.rank()} across {beta.label()}")
+        lines.append(f"rank {spec.truncated().size} across {beta.label()}")
+    print("\n".join(lines))
     return 0
 
 
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau-rank", type=float, default=None, help="Schmidt rank cutoff, in (0, 1)")
     parser.add_argument("--eps-match", type=float, default=None, help="spectrum matching tolerance, in (0, 1)")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomized procedures")
-    parser.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
+    parser.add_argument("--restarts", type=int, default=32, help="see-saw restarts of a linear yield")
     parser.add_argument("--long", action="store_true", help="append prose to the records")
     sub = parser.add_subparsers(dest="command", required=True)
 

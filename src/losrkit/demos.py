@@ -46,13 +46,13 @@ def demo_anomaly(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
     maximally entangled one, while the states are order-incomparable."""
     rep = _Report()
     phi = catalog.phi_plus()
-    hardy_max = optimize_yield(phi, HardyScore(), restarts=restarts, seed=seed).value
+    hardy_max = optimize_yield(phi, HardyScore()).value
     rep.say(f"hardy yield phi_plus      {_fmt(hardy_max)}")
     rep.check(hardy_max <= 1e-6, "maximally entangled state cannot reach the Hardy box")
 
     best_theta, best_val = 0.0, -1.0
     for theta in np.linspace(0.25, 0.65, 5):
-        v = optimize_yield(catalog.partial(theta), HardyScore(), restarts=max(4, restarts // 2), seed=seed).value
+        v = optimize_yield(catalog.partial(theta), HardyScore()).value
         if v > best_val:
             best_theta, best_val = float(theta), v
     rep.say(f"hardy yield partial({_fmt(best_theta)})  {_fmt(best_val)}")

@@ -10,15 +10,14 @@ angles; every two-outcome qubit POVM is a mixture of projective ones, so
 nothing is lost for these functionals at qubit dimensions.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
-(closed-form Bloch updates) followed by a gradient-free polish of the best
-restart.  The functional and the state's Pauli tensor form one tensor with
-an axis per party, so a party's field is a chain of matrix products, and
-every restart is swept in one batch until it stalls on its own.  The Hardy
-score is optimized on its exact feasible set: the three zero constraints
-fix every direction once A's setting-1 direction is chosen, so a seeded
-Nelder-Mead search over its two Bloch angles is all that remains.  Each
-restart's value is reported with the result.  Results are deterministic
-given (state, functional, restarts, seed).
+(closed-form Bloch updates), and the best restart is the answer.  The
+functional and the state's Pauli tensor form one tensor with an axis per
+party, so a party's field is a chain of matrix products, and every restart
+is swept in one batch until it stalls on its own.  The Hardy score needs no
+search: the three zero constraints fix every direction once A's setting-1
+ket is chosen, and Hardy's closed-form argmax gives that ket from the SVD of
+the state's amplitude matrix.  Each restart's value is reported with the
+result.  Results are deterministic given (state, functional, restarts, seed).
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from . import config
 from .boxes import CHSH, BellFunctional, HardyScore, MerminGHZ, TiltedCHSH
 from .states import DensityMatrix, LocalChannelFamily, PureState, _local_expectations, born_box
 
@@ -91,9 +90,9 @@ class MeasurementFamily:
 
 @dataclass(frozen=True)
 class YieldResult:
-    """``restart_values`` holds the value each restart's search reached, in
-    restart order: the see-saw value for linear functionals (before the
-    polish), and p(00|00) on the top eigenvector of rho for Hardy (before
+    """``restart_values`` holds the see-saw value each restart reached, in
+    restart order, for linear functionals.  For Hardy it holds one entry,
+    the closed-form family's score on the top eigenvector of rho (before
     the zero-constraint gate on rho itself)."""
 
     value: float
@@ -196,29 +195,31 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1].conjugate(), v[0].conjugate()])
 
 
-def _hardy_kets(M: np.ndarray, angles: np.ndarray) -> list[np.ndarray]:
+def _hardy_kets(M: np.ndarray, a1: np.ndarray) -> list[np.ndarray]:
     """Unit kets [a0, a1, b0, b1] that meet the three Hardy zero constraints
-    exactly on the state with amplitude matrix ``M``, from the Bloch angles
-    of a1.  Outcome 0 projects on the ket, outcome 1 on the orthogonal one,
-    and the amplitude of kets (a, b) is a^dag M conj(b)."""
-    th, ph = angles
-    a1 = np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
+    exactly on the state with amplitude matrix ``M``, given the ket a1.
+    Outcome 0 projects on the ket, outcome 1 on the orthogonal one, and the
+    amplitude of kets (a, b) is a^dag M conj(b)."""
     b1 = M.T @ _perp(a1).conj()  # p(11|11) = 0
     a0 = _perp(M @ b1.conj())  # p(00|01) = 0
     b0 = _perp(M.T @ a1.conj())  # p(00|10) = 0
     return [k / np.linalg.norm(k) for k in (a0, a1, b0, b1)]
 
 
-def _optimize_hardy(
-    state: DensityMatrix, restarts: int, rng: np.random.Generator
-) -> tuple[MeasurementFamily, list[float]]:
-    """Maximize p(00|00) = |a0^dag M conj(b0)|^2 over the exact feasible set.
+def _optimize_hardy(state: DensityMatrix) -> tuple[MeasurementFamily, list[float]]:
+    """The maximum of p(00|00) = |a0^dag M conj(b0)|^2 over the exact
+    feasible set, in closed form, and the Hardy score of that family on
+    ``M`` as a one-entry list.
 
-    ``M`` is the top eigenvector of rho, and each restart is a Nelder-Mead
-    search over the two Bloch angles of a1 (see ``_hardy_kets``); its value
-    is returned per restart with the best family.  On a
-    pure state every point meets the zero constraints up to rounding, so no
-    value passes the gate of ``HardyScore.evaluate`` by a tolerance.
+    ``M`` is the top eigenvector of rho, with SVD U diag(c, s) V^dag.  Setting
+    a1 = U (sqrt c, sqrt s) and letting ``_hardy_kets`` fix the rest attains
+    Hardy's maximum ((cs(c - s)) / (1 - cs))^2 (Hardy, PRL 71, 1665 (1993);
+    Goldstein, PRL 72, 1951 (1994)).  Every ket is built to meet the zero
+    constraints, so on a pure state no value passes the gate of
+    ``HardyScore.evaluate`` by a tolerance.  A top eigenvector of Schmidt
+    rank 1 (s^2 <= tau_rank) has yield 0 and would make b1 vanish; every
+    setting then measures along the Schmidt vectors, which breaks the zero
+    constraints by c^2, and the gate scores the family 0.
 
     A state of rank >= 2 needs no repair step, because its Hardy yield is 0.
     The product vectors a0 x b1, a1 x b0 and a1' x b1' (' the orthogonal ket)
@@ -232,20 +233,14 @@ def _optimize_hardy(
     """
     _, vecs = np.linalg.eigh(state.matrix)
     M = vecs[:, -1].reshape(2, 2)
-
-    def neg_value(angles: np.ndarray) -> float:
-        a0, _, b0, _ = _hardy_kets(M, angles)
-        return -abs(np.vdot(a0, M @ b0.conj())) ** 2
-
-    runs = []
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, np.pi, 2)
-        x0[1] *= 2.0
-        runs.append(minimize(neg_value, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-14}))
-    values = [-res.fun for res in runs]
-    best_angles = runs[int(np.argmax(values))].x
-    bloch = [[np.vdot(k, s @ k).real for s in PAULI[1:]] for k in _hardy_kets(M, best_angles)]
-    return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3))), values
+    U, (c, s), Vh = np.linalg.svd(M)
+    if s * s <= config.current().tau_rank:
+        kets, value = [U[:, 0], U[:, 0], Vh[0], Vh[0]], 0.0
+    else:
+        kets = _hardy_kets(M, U @ np.sqrt([c, s]))
+        value = abs(np.vdot(kets[0], M @ kets[2].conj())) ** 2
+    bloch = [[np.vdot(k, p @ k).real for p in PAULI[1:]] for k in kets]
+    return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3))), [value]
 
 
 def _functional_parties(f: BellFunctional) -> int:
@@ -262,11 +257,14 @@ def optimize_yield(
     restarts: int = 32,
     seed: int = 0,
 ) -> YieldResult:
-    """Best functional value over seeded random measurement initializations.
+    """Best functional value over qubit measurements.
 
-    The reported value is recomputed from the Born-rule box of the returned
-    measurement family, so it matches ``f.evaluate(born_box(state, argmax))``
-    by construction.  Ties between restarts resolve to the lowest index.
+    Linear functionals take the best of ``restarts`` see-saw runs from
+    seeded random starts; ties resolve to the lowest index.  The Hardy yield
+    is built in closed form and uses neither ``restarts`` nor ``seed``; both
+    are still echoed in the result.  The reported value is recomputed from
+    the Born-rule box of the returned measurement family, so it matches
+    ``f.evaluate(born_box(state, argmax))`` by construction.
     """
     if isinstance(state, PureState):
         state = state.density()
@@ -277,30 +275,14 @@ def optimize_yield(
         raise ValueError(
             f"{type(f).__name__} needs {n} qubit parties, state has dims {state.party_dims}"
         )
-    rng = np.random.default_rng(seed)
-
     if isinstance(f, HardyScore):
-        family, restart_values = _optimize_hardy(state, restarts, rng)
+        family, restart_values = _optimize_hardy(state)
     else:
         K = _functional_tensor(f.coefficients(), pauli_expectations(state))
-        v0 = rng.standard_normal((restarts, n, 2, 3))
+        v0 = np.random.default_rng(seed).standard_normal((restarts, n, 2, 3))
         v0 /= np.linalg.norm(v0, axis=-1, keepdims=True)
         restart_values, vecs = _seesaw_linear(K, v0)
-        best = int(np.argmax(restart_values))
-        best_angles = _vecs_to_angles(vecs[best])
-
-        def neg_value(flat: np.ndarray) -> float:
-            return -float(_value(K, _u_arrays(_angles_to_vecs(flat.reshape(n, 2, 2)))))
-
-        res = minimize(
-            neg_value,
-            best_angles.reshape(-1),
-            method="Nelder-Mead",
-            options={"maxfev": 800, "xatol": 1e-12, "fatol": 1e-13},
-        )
-        if -res.fun > restart_values[best]:
-            best_angles = res.x.reshape(n, 2, 2)
-        family = MeasurementFamily(best_angles)
+        family = MeasurementFamily(_vecs_to_angles(vecs[int(np.argmax(restart_values))]))
 
     value = f.evaluate(born_box(state, family))
     return YieldResult(value, family, restarts, seed, tuple(float(v) for v in restart_values))
@@ -345,10 +327,10 @@ def sample_losr_channel(dims, seed: int) -> LocalChannelFamily:
 # free measurement angles, with the three zero constraints solved exactly
 # (two in closed form, the third by bisection).  Real-plane measurements
 # suffice for states with real Schmidt coefficients; agreement with the
-# unconstrained optimizer is checked by the test suite.
+# closed-form yield is checked by the test suite.
 
 
-def _hardy_third_constraint(ct: float, st: float, b0: np.ndarray, b1: float) -> np.ndarray:
+def _hardy_third_constraint(ct: float, st: float, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     a1 = np.arctan2(-ct * np.cos(b0), st * np.sin(b0))
     return ct * np.sin(a1) * np.sin(b1) + st * np.cos(a1) * np.cos(b1)
 
@@ -361,6 +343,8 @@ def hardy_grid_maximum(
     For each (t, a0) the constraints p(00|01) = 0 and p(00|10) = 0 fix the
     remaining directions in closed form; roots of p(11|11) = 0 in b0 are then
     bracketed on a grid and refined by bisection before scoring p(00|00).
+    Every a0 and bracketed root of one t is bisected at once; ties resolve
+    to the first t, then the first a0, then the first root.
     """
     a0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, a0_points)
     b0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, b0_points)
@@ -370,22 +354,21 @@ def hardy_grid_maximum(
         ct, st = np.cos(t), np.sin(t)
         if abs(st) < 1e-12 or abs(ct) < 1e-12:
             continue
-        for a0 in a0_grid:
-            b1 = float(np.arctan2(-ct * np.cos(a0), st * np.sin(a0)))
-            g = _hardy_third_constraint(ct, st, b0_grid, b1)
-            sign_flips = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-            for i in sign_flips:
-                lo, hi = float(b0_grid[i]), float(b0_grid[i + 1])
-                glo = float(g[i])
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    gm = float(_hardy_third_constraint(ct, st, np.array([mid]), b1)[0])
-                    if (gm > 0) == (glo > 0):
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
-                b0 = 0.5 * (lo + hi)
-                val = (ct * np.cos(a0) * np.cos(b0) + st * np.sin(a0) * np.sin(b0)) ** 2
-                if val > best:
-                    best, arg = float(val), (float(t), float(a0), float(b0))
+        b1_grid = np.arctan2(-ct * np.cos(a0_grid), st * np.sin(a0_grid))
+        g = _hardy_third_constraint(ct, st, b0_grid, b1_grid[:, None])
+        ia, ib = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+        if ia.size == 0:
+            continue
+        a0, b1 = a0_grid[ia], b1_grid[ia]
+        lo, hi, glo = b0_grid[ib], b0_grid[ib + 1], g[ia, ib]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gm = _hardy_third_constraint(ct, st, mid, b1)
+            keep = (gm > 0) == (glo > 0)
+            lo, glo, hi = np.where(keep, mid, lo), np.where(keep, gm, glo), np.where(keep, hi, mid)
+        b0 = 0.5 * (lo + hi)
+        val = (ct * np.cos(a0) * np.cos(b0) + st * np.sin(a0) * np.sin(b0)) ** 2
+        i = int(np.argmax(val))
+        if val[i] > best:
+            best, arg = float(val[i]), (float(t), float(a0[i]), float(b0[i]))
     return best, arg

@@ -213,8 +213,12 @@ class SchmidtSpectrum:
         return schmidt_rank(self)
 
     def truncated(self) -> np.ndarray:
-        """Entries above the rank cutoff, still descending."""
-        return self.values[self.values > config.current().tau_rank]
+        """Entries above the rank cutoff, still descending; there must be one."""
+        tau = config.current().tau_rank
+        kept = self.values[self.values > tau]
+        if not kept.size:
+            raise ValueError(f"tau_rank {tau:g} removes every Schmidt coefficient (largest {self.values[0]:.10g})")
+        return kept
 
     def tensor(self, other: SchmidtSpectrum) -> SchmidtSpectrum:
         return SchmidtSpectrum(np.kron(self.values, other.values))

@@ -244,25 +244,30 @@ class TestDemos:
         assert "demo result: fail" in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # tolerance flags outside (0, 1)
-        ["--eps-match", "-1", "compare", "phi_plus", "phi_plus"],
-        ["--eps-match", "inf", "factor", "phi_plus", "partial(0.3)"],
-        ["--eps-norm", "nan", "schmidt", "phi_plus", "A|B"],
-        ["--eps-norm", "-1", "schmidt", "phi_plus", "A|B"],
-        ["--long", "--tau-rank", "0", "schmidt", "phi_plus", "A|B"],
-        # malformed inputs that the library rejects with ValueError
-        ["compare", "phi_plus", "partial(abc)"],
-        ["compare", "phi_plus", "max_entangled(0)"],
-        ["--tau-rank", "0.9", "compare", "phi_plus", "partial(0.3)"],
-    ],
-)
-def test_malformed_input_exits_two_with_one_error_line(capsys, argv):
+MALFORMED = [
+    # (argv, text the error line must contain)
+    # tolerance flags outside (0, 1)
+    (["--eps-match", "-1", "compare", "phi_plus", "phi_plus"], ["eps_match"]),
+    (["--eps-match", "inf", "factor", "phi_plus", "partial(0.3)"], ["eps_match"]),
+    (["--eps-norm", "nan", "schmidt", "phi_plus", "A|B"], ["eps_norm"]),
+    (["--eps-norm", "-1", "schmidt", "phi_plus", "A|B"], ["eps_norm"]),
+    (["--long", "--tau-rank", "0", "schmidt", "phi_plus", "A|B"], ["tau_rank"]),
+    # malformed inputs that the library rejects with ValueError
+    (["compare", "phi_plus", "partial(abc)"], ["'partial(abc)'"]),
+    (["compare", "phi_plus", "max_entangled(0)"], ["'max_entangled(0)'"]),
+    (["--tau-rank", "0.9", "compare", "phi_plus", "partial(0.3)"], ["tau_rank 0.9", "largest 0.5"]),
+    (["compare", "max_entangled(2.5)", "phi_plus"], ["'max_entangled(2.5)'"]),
+    (["--tau-rank", "0.6", "--long", "schmidt", "phi_plus", "A|B"], ["tau_rank 0.6", "largest 0.5"]),
+]
+
+
+@pytest.mark.parametrize("argv, named", MALFORMED, ids=[f"argv{i}" for i in range(len(MALFORMED))])
+def test_malformed_input_exits_two_with_one_error_line(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+    for text in named:
+        assert text in lines[0]
