@@ -17,7 +17,6 @@ from .states import (
     partial_trace,
     permute_parties,
     save_state,
-    schmidt_rank,
     schmidt_spectrum,
     tensor_product,
 )

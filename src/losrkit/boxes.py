@@ -24,6 +24,8 @@ def outcome_sign(a: int) -> int:
 
 _PROB_FLOOR = -1e-12
 _COND_SUM_EPS = 1e-9
+# Smallest separation-LP gap reported as nonlocal.
+_MARGIN_EPS = 1e-9
 # Entries of the dense membership LP matrix, n_vertices x (table size + 1):
 # 2**25 float64 entries are 256 MiB.
 MAX_LP_ENTRIES = 2**25
@@ -151,7 +153,7 @@ class NonlocalCertificate:
         return self.value - self.local_bound
 
 
-def local_membership(b: Box, margin_eps: float = 1e-9) -> LocalModel | NonlocalCertificate:
+def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
     """Decide membership of ``b`` in the local polytope, with a certificate.
 
     One LP over (f, c): maximize the gap f.p - c subject to f.V_j <= c on
@@ -180,7 +182,7 @@ def local_membership(b: Box, margin_eps: float = 1e-9) -> LocalModel | NonlocalC
     if res.status != 0:
         raise RuntimeError(f"separation LP failed: {res.message}")
     gap = -res.fun
-    if gap > margin_eps:
+    if gap > _MARGIN_EPS:
         f = res.x[:dim]
         bound = float(np.max(v_mat @ f))
         return NonlocalCertificate(f, bound, float(f @ p_flat))
@@ -200,8 +202,22 @@ def _require_shape(b: Box, settings, outcomes, name: str) -> None:
         raise ValueError(f"{name} expects scenario {settings}/{outcomes}, got {b.shape}")
 
 
+class _LinearFunctional:
+    """A functional linear in the box table, given by ``coefficients()``, a
+    tensor of the table's shape; its scenario is read from that shape."""
+
+    def _weighted(self, box: Box) -> np.ndarray:
+        c = self.coefficients()
+        n = c.ndim // 2
+        _require_shape(box, c.shape[:n], c.shape[n:], type(self).__name__)
+        return c * box.table
+
+    def evaluate(self, box: Box) -> float:
+        return float(np.sum(self._weighted(box)))
+
+
 @dataclass(frozen=True)
-class CHSH:
+class CHSH(_LinearFunctional):
     """E00 + E01 + E10 - E11 with +/-1 outcome correlators."""
 
     def coefficients(self) -> np.ndarray:
@@ -211,13 +227,9 @@ class CHSH:
             c[x, y, a, b] = sign * outcome_sign(a) * outcome_sign(b)
         return c
 
-    def evaluate(self, box: Box) -> float:
-        _require_shape(box, (2, 2), (2, 2), "CHSH")
-        return float(np.sum(self.coefficients() * box.table))
-
 
 @dataclass(frozen=True)
-class TiltedCHSH:
+class TiltedCHSH(_LinearFunctional):
     """alpha <A0> + CHSH; the marginal term is averaged over Bob's settings."""
 
     alpha: float
@@ -227,10 +239,6 @@ class TiltedCHSH:
         for y, a, b in product(range(2), repeat=3):
             c[0, y, a, b] += self.alpha * outcome_sign(a) / 2.0
         return c
-
-    def evaluate(self, box: Box) -> float:
-        _require_shape(box, (2, 2), (2, 2), "TiltedCHSH")
-        return float(np.sum(self.coefficients() * box.table))
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,7 @@ class HardyScore:
 
 
 @dataclass(frozen=True)
-class MerminGHZ:
+class MerminGHZ(_LinearFunctional):
     """Mean probability, over the four even-parity settings, that the
     outcome parity matches the OR of the settings (a+b+c = x|y|z mod 2)."""
 
@@ -276,23 +284,10 @@ class MerminGHZ:
                     c[x, y, z, a, b, o] = 0.25
         return c
 
-    def evaluate(self, box: Box) -> float:
-        _require_shape(box, (2, 2, 2), (2, 2, 2), "MerminGHZ")
-        return float(np.sum(self.coefficients() * box.table))
-
     def setting_win_probabilities(self, box: Box) -> dict[tuple[int, int, int], float]:
         """Per-setting success probabilities on the four even-parity settings."""
-        _require_shape(box, (2, 2, 2), (2, 2, 2), "MerminGHZ")
-        out = {}
-        for x, y, z in product(range(2), repeat=3):
-            if (x + y + z) % 2:
-                continue
-            tot = 0.0
-            for a, b, o in product(range(2), repeat=3):
-                if (a + b + o) % 2 == (x | y | z):
-                    tot += box.table[x, y, z, a, b, o]
-            out[(x, y, z)] = tot
-        return out
+        wins = 4 * np.sum(self._weighted(box), axis=(3, 4, 5))
+        return {xyz: float(wins[xyz]) for xyz in product(range(2), repeat=3) if sum(xyz) % 2 == 0}
 
 
 BellFunctional = CHSH | TiltedCHSH | HardyScore | MerminGHZ

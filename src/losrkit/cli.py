@@ -84,7 +84,7 @@ def cmd_schmidt(args) -> int:
     spec = schmidt_spectrum(psi, beta)
     lines = [" ".join(_fmt(v) for v in spec.values)]
     if args.long:
-        lines.append(f"rank {spec.truncated().size} across {beta.label()}")
+        lines.append(f"rank {spec.rank()} across {beta.label()}")
     print("\n".join(lines))
     return 0
 

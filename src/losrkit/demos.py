@@ -22,6 +22,10 @@ from .preorder import (
 from .selftest import FlagConstruction, closure_scan, flag_roundtrip_check, forward_channel
 from .states import born_box, schmidt_spectrum
 
+# See-saw restarts of the demos' CHSH yields, and catalysis trials.
+_RESTARTS = 8
+_CATALYSIS_TRIALS = 500
+
 
 class _Report:
     def __init__(self):
@@ -41,7 +45,7 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def demo_anomaly(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
+def demo_anomaly(seed: int = 0) -> tuple[list[str], bool]:
     """Hardy reachable from a partially entangled state but not from the
     maximally entangled one, while the states are order-incomparable."""
     rep = _Report()
@@ -58,8 +62,8 @@ def demo_anomaly(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
     rep.say(f"hardy yield partial({_fmt(best_theta)})  {_fmt(best_val)}")
     rep.check(best_val > 0.05, "a partially entangled state reaches the Hardy box")
 
-    chsh_max = optimize_yield(phi, CHSH(), restarts=restarts, seed=seed).value
-    chsh_partial = optimize_yield(catalog.partial(best_theta), CHSH(), restarts=restarts, seed=seed).value
+    chsh_max = optimize_yield(phi, CHSH(), restarts=_RESTARTS, seed=seed).value
+    chsh_partial = optimize_yield(catalog.partial(best_theta), CHSH(), restarts=_RESTARTS, seed=seed).value
     rep.say(f"chsh yield phi_plus       {_fmt(chsh_max)}")
     rep.say(f"chsh yield partial        {_fmt(chsh_partial)}")
     rep.check(abs(chsh_max - 2 * np.sqrt(2)) <= 1e-6, "phi_plus reaches the Tsirelson value")
@@ -75,7 +79,7 @@ def demo_anomaly(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
     return rep.lines, rep.ok
 
 
-def demo_ghz_mermin(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
+def demo_ghz_mermin(seed: int = 0) -> tuple[list[str], bool]:
     """The parity game from the three-qubit GHZ state, and incomparability of
     GHZ with two Bell pairs."""
     rep = _Report()
@@ -105,7 +109,7 @@ def demo_ghz_mermin(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
     return rep.lines, rep.ok
 
 
-def demo_flag_selftest(seed: int = 0, restarts: int = 8) -> tuple[list[str], bool]:
+def demo_flag_selftest(seed: int = 0) -> tuple[list[str], bool]:
     """Flagged mixed states are operationally equivalent to their base state,
     so a self-tested pure state drags a mixed-state family along with it."""
     rep = _Report()
@@ -134,7 +138,7 @@ def demo_flag_selftest(seed: int = 0, restarts: int = 8) -> tuple[list[str], boo
 
     candidates = [catalog.phi_plus(), catalog.partial(np.pi / 8), catalog.partial(0.0)]
     report = closure_scan(CHSH(), 2 * np.sqrt(2), base, candidates,
-                          tol=1e-6, restarts=restarts, seed=seed)
+                          tol=1e-6, restarts=_RESTARTS, seed=seed)
     rep.say(report.to_text())
     reachers = [e.index for e in report.entries if e.is_reacher]
     rep.check(reachers == [0], "only phi_plus reaches the Tsirelson value")
@@ -142,14 +146,14 @@ def demo_flag_selftest(seed: int = 0, restarts: int = 8) -> tuple[list[str], boo
     return rep.lines, rep.ok
 
 
-def demo_catalysis(seed: int = 0, trials: int = 500) -> tuple[list[str], bool]:
+def demo_catalysis(seed: int = 0) -> tuple[list[str], bool]:
     """Catalysis is impossible for bipartite pure states: an auxiliary shared
     state never unlocks a conversion."""
     rep = _Report()
     rng = np.random.default_rng(seed)
     counterexamples = 0
     convertible_cases = 0
-    for t in range(trials):
+    for t in range(_CATALYSIS_TRIALS):
         ranks = rng.integers(1, 5, size=3)
         if t % 2 == 0:
             lam_phi = np.sort(rng.dirichlet(np.ones(ranks[0])))[::-1]
@@ -166,7 +170,7 @@ def demo_catalysis(seed: int = 0, trials: int = 500) -> tuple[list[str], bool]:
         if cat != plain:
             counterexamples += 1
             rep.say(f"counterexample at trial {t}")
-    rep.say(f"trials {trials}, plainly convertible cases {convertible_cases}")
+    rep.say(f"trials {_CATALYSIS_TRIALS}, plainly convertible cases {convertible_cases}")
     rep.check(counterexamples == 0, "catalytic convertibility always equals plain convertibility")
     rep.check(convertible_cases > 0, "the sweep exercised genuinely convertible pairs")
     return rep.lines, rep.ok

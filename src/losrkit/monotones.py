@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .boxes import CHSH, BellFunctional, HardyScore, MerminGHZ, TiltedCHSH
+from .boxes import BellFunctional, HardyScore
 from .states import DensityMatrix, LocalChannelFamily, PureState, _local_expectations, born_box
 
 PAULI = (
@@ -243,14 +243,6 @@ def _optimize_hardy(state: DensityMatrix) -> tuple[MeasurementFamily, list[float
     return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3))), [value]
 
 
-def _functional_parties(f: BellFunctional) -> int:
-    if isinstance(f, (CHSH, TiltedCHSH, HardyScore)):
-        return 2
-    if isinstance(f, MerminGHZ):
-        return 3
-    raise ValueError(f"unsupported functional {f!r}")
-
-
 def optimize_yield(
     state: DensityMatrix | PureState,
     f: BellFunctional,
@@ -270,15 +262,16 @@ def optimize_yield(
         state = state.density()
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n = _functional_parties(f)
+    coeffs = None if isinstance(f, HardyScore) else f.coefficients()
+    n = 2 if coeffs is None else coeffs.ndim // 2
     if state.n_parties != n or any(d != 2 for d in state.party_dims):
         raise ValueError(
             f"{type(f).__name__} needs {n} qubit parties, state has dims {state.party_dims}"
         )
-    if isinstance(f, HardyScore):
+    if coeffs is None:
         family, restart_values = _optimize_hardy(state)
     else:
-        K = _functional_tensor(f.coefficients(), pauli_expectations(state))
+        K = _functional_tensor(coeffs, pauli_expectations(state))
         v0 = np.random.default_rng(seed).standard_normal((restarts, n, 2, 3))
         v0 /= np.linalg.norm(v0, axis=-1, keepdims=True)
         restart_values, vecs = _seesaw_linear(K, v0)

@@ -4,9 +4,11 @@ Everything here runs on squared-Schmidt-coefficient vectors.  Two pure states
 are equivalent iff their spectra agree (up to permutation) on every
 bipartition; one converts to the other only if, for every bipartition, the
 source spectrum factors as the tensor of the target spectrum with a common
-auxiliary spectrum.  For bipartite states the single-bipartition factorization
-test is exact; for three or more parties it is necessary only, so passing
-verdicts stay Inconclusive.
+auxiliary spectrum.  One direction check runs that test for every party
+count, over ``all_bipartitions(n)``.  For two parties the list is the single
+split A|B and the test is exact, so a passing direction is Decided; for three
+or more parties it is necessary only, so a passing direction reports
+NecessaryPassedOnly and verdicts stay Inconclusive.
 
 The factorization itself replaces the factorial permutation search with greedy
 multiset peeling: the largest unconsumed source entry must equal the largest
@@ -199,72 +201,21 @@ def factor_spectrum_bruteforce(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -
     )
 
 
-def _single_bipartition(n: int = 2) -> Bipartition:
-    return Bipartition(frozenset({0}), n)
-
-
-def _direction_report_bipartite(res: FactorizationResult, beta: Bipartition) -> DirectionReport:
-    if res.found:
-        return DirectionReport(
-            False, Reason.DECIDED, zetas=((beta, res.lambda_zeta),), borderline=res.borderline
-        )
-    return DirectionReport(True, res.reason, blocked_at=beta, borderline=res.borderline)
-
-
-def compare_bipartite(psi: PureState, phi: PureState) -> ConversionVerdict:
-    """Exact convertibility decision for two bipartite pure states."""
-    if psi.n_parties != 2 or phi.n_parties != 2:
-        raise ValueError("compare_bipartite needs 2-party states; use multipartite_check")
-    beta_psi = _single_bipartition()
-    l_psi = schmidt_spectrum(psi, beta_psi)
-    l_phi = schmidt_spectrum(phi, beta_psi)
-    fwd = factor_spectrum(l_psi, l_phi)
-    bwd = factor_spectrum(l_phi, l_psi)
-    f_rep = _direction_report_bipartite(fwd, beta_psi)
-    b_rep = _direction_report_bipartite(bwd, beta_psi)
-    borderline = fwd.borderline or bwd.borderline
-    if spectra_equal(l_psi, l_phi):
-        witness = ((beta_psi, SchmidtSpectrum(np.array([1.0]))),)
-        return ConversionVerdict(
-            Direction.EQUIVALENT, Reason.DECIDED, witness, f_rep, b_rep, borderline
-        )
-    if fwd.found and bwd.found:
-        # both factorizations with unequal spectra would force rank ratio 1
-        # in both directions, hence equal spectra; only reachable at the
-        # tolerance boundary.
-        raise ArithmeticError("inconsistent bidirectional factorization near tolerance")
-    if fwd.found:
-        return ConversionVerdict(
-            Direction.PSI_TO_PHI_ONLY,
-            Reason.DECIDED,
-            ((beta_psi, fwd.lambda_zeta),),
-            f_rep,
-            b_rep,
-            borderline,
-        )
-    if bwd.found:
-        return ConversionVerdict(
-            Direction.PHI_TO_PSI_ONLY,
-            Reason.DECIDED,
-            ((beta_psi, bwd.lambda_zeta),),
-            f_rep,
-            b_rep,
-            borderline,
-        )
-    return ConversionVerdict(Direction.INCOMPARABLE, Reason.DECIDED, None, f_rep, b_rep, borderline)
+def _spectra(state: PureState) -> dict[Bipartition, SchmidtSpectrum]:
+    return {beta: schmidt_spectrum(state, beta) for beta in all_bipartitions(state.n_parties)}
 
 
 def _check_direction(
     spectra_src: dict[Bipartition, SchmidtSpectrum],
     spectra_dst: dict[Bipartition, SchmidtSpectrum],
-    betas: list[Bipartition],
     n: int,
 ) -> DirectionReport:
-    """Necessity test for one conversion direction across all bipartitions."""
+    """The factorization test for one conversion direction on every
+    bipartition: exact for n = 2, necessary only for n >= 3."""
     zetas = []
     borderline = False
-    for beta in betas:
-        res = factor_spectrum(spectra_src[beta], spectra_dst[beta])
+    for beta, src in spectra_src.items():
+        res = factor_spectrum(src, spectra_dst[beta])
         borderline = borderline or res.borderline
         if not res.found:
             return DirectionReport(True, res.reason, blocked_at=beta, borderline=borderline)
@@ -284,9 +235,34 @@ def _check_direction(
                 zetas=tuple(zetas),
                 borderline=borderline,
             )
-    return DirectionReport(
-        False, Reason.NECESSARY_PASSED_ONLY, zetas=tuple(zetas), borderline=borderline
-    )
+    passed = Reason.DECIDED if n == 2 else Reason.NECESSARY_PASSED_ONLY
+    return DirectionReport(False, passed, zetas=tuple(zetas), borderline=borderline)
+
+
+def compare_bipartite(psi: PureState, phi: PureState) -> ConversionVerdict:
+    """Exact convertibility decision for two bipartite pure states."""
+    if psi.n_parties != 2 or phi.n_parties != 2:
+        raise ValueError("compare_bipartite needs 2-party states; use multipartite_check")
+    sp_psi, sp_phi = _spectra(psi), _spectra(phi)
+    fwd = _check_direction(sp_psi, sp_phi, 2)
+    bwd = _check_direction(sp_phi, sp_psi, 2)
+    borderline = fwd.borderline or bwd.borderline
+    (beta,) = sp_psi
+    if spectra_equal(sp_psi[beta], sp_phi[beta]):
+        witness = ((beta, SchmidtSpectrum(np.array([1.0]))),)
+        return ConversionVerdict(Direction.EQUIVALENT, Reason.DECIDED, witness, fwd, bwd, borderline)
+    if not (fwd.ruled_out or bwd.ruled_out):
+        # both factorizations with unequal spectra would force rank ratio 1
+        # in both directions, hence equal spectra; only reachable at the
+        # tolerance boundary.
+        raise ArithmeticError("inconsistent bidirectional factorization near tolerance")
+    if not fwd.ruled_out:
+        direction, witness = Direction.PSI_TO_PHI_ONLY, fwd.zetas
+    elif not bwd.ruled_out:
+        direction, witness = Direction.PHI_TO_PSI_ONLY, bwd.zetas
+    else:
+        direction, witness = Direction.INCOMPARABLE, None
+    return ConversionVerdict(direction, Reason.DECIDED, witness, fwd, bwd, borderline)
 
 
 def multipartite_check(psi: PureState, phi: PureState) -> ConversionVerdict:
@@ -304,11 +280,9 @@ def multipartite_check(psi: PureState, phi: PureState) -> ConversionVerdict:
         raise ValueError("states must have the same number of parties")
     if n < 3:
         raise ValueError("multipartite_check needs n >= 3; use compare_bipartite")
-    betas = all_bipartitions(n)
-    sp_psi = {b: schmidt_spectrum(psi, b) for b in betas}
-    sp_phi = {b: schmidt_spectrum(phi, b) for b in betas}
-    fwd = _check_direction(sp_psi, sp_phi, betas, n)
-    bwd = _check_direction(sp_phi, sp_psi, betas, n)
+    sp_psi, sp_phi = _spectra(psi), _spectra(phi)
+    fwd = _check_direction(sp_psi, sp_phi, n)
+    bwd = _check_direction(sp_phi, sp_psi, n)
     borderline = fwd.borderline or bwd.borderline
     if fwd.ruled_out and bwd.ruled_out:
         return ConversionVerdict(
@@ -325,7 +299,7 @@ def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> boo
     for s, name in ((psi, "psi"), (phi, "phi"), (chi, "chi")):
         if s.n_parties != 2:
             raise ValueError(f"{name} must be bipartite")
-    beta = _single_bipartition()
+    (beta,) = all_bipartitions(2)
     l_chi = schmidt_spectrum(chi, beta)
     l_src = schmidt_spectrum(psi, beta).tensor(l_chi)
     l_dst = schmidt_spectrum(phi, beta).tensor(l_chi)

@@ -76,12 +76,12 @@ class FlagConstruction:
     def flag_dims(self) -> tuple[int, int]:
         return len(self.unitaries_a), len(self.unitaries_b)
 
-    def dist_factorizes(self, eps: float = _FACTORIZE_EPS) -> bool:
+    def dist_factorizes(self) -> bool:
         """Whether p(ij) = p(i) p(j), in which case no shared randomness is
         needed to prepare the flags."""
         pi = self.dist.sum(axis=1)
         pj = self.dist.sum(axis=0)
-        return float(np.max(np.abs(self.dist - np.outer(pi, pj)))) <= eps
+        return float(np.max(np.abs(self.dist - np.outer(pi, pj)))) <= _FACTORIZE_EPS
 
 
 def flag_mixed_state(fc: FlagConstruction) -> DensityMatrix:
@@ -144,7 +144,7 @@ def backward_channel(fc: FlagConstruction) -> LocalChannelFamily:
     return LocalChannelFamily.from_local_kraus((kraus_a, kraus_b))
 
 
-def flag_roundtrip_check(fc: FlagConstruction, eps: float = _ROUNDTRIP_EPS) -> bool:
+def flag_roundtrip_check(fc: FlagConstruction) -> bool:
     """Verify both conversion directions in max-entry distance.
 
     forward(|psi><psi|) must equal the flagged state and backward(flagged)
@@ -153,11 +153,11 @@ def flag_roundtrip_check(fc: FlagConstruction, eps: float = _ROUNDTRIP_EPS) -> b
     rho = flag_mixed_state(fc)
     fwd, _ = forward_channel(fc)
     got = apply_channel(fc.base_state.density(), fwd)
-    if float(np.max(np.abs(got.matrix - rho.matrix))) > eps:
+    if float(np.max(np.abs(got.matrix - rho.matrix))) > _ROUNDTRIP_EPS:
         return False
     back = apply_channel(rho, backward_channel(fc))
     target = fc.base_state.density()
-    return float(np.max(np.abs(back.matrix - target.matrix))) <= eps
+    return float(np.max(np.abs(back.matrix - target.matrix))) <= _ROUNDTRIP_EPS
 
 
 def conjugate_state(psi: PureState) -> PureState:

@@ -210,7 +210,8 @@ class SchmidtSpectrum:
         object.__setattr__(self, "values", vals)
 
     def rank(self) -> int:
-        return schmidt_rank(self)
+        """Number of entries above the rank cutoff; there must be one."""
+        return self.truncated().size
 
     def truncated(self) -> np.ndarray:
         """Entries above the rank cutoff, still descending; there must be one."""
@@ -373,11 +374,6 @@ def schmidt_spectrum(psi: PureState, beta: Bipartition) -> SchmidtSpectrum:
         evals = np.concatenate([np.zeros(d_left - d_right), evals])
     np.clip(evals, 0.0, None, out=evals)
     return SchmidtSpectrum(evals / evals.sum())
-
-
-def schmidt_rank(spec: SchmidtSpectrum) -> int:
-    """Number of spectrum entries strictly above the rank cutoff."""
-    return int(np.sum(spec.values > config.current().tau_rank))
 
 
 def _conjugate_local(t: np.ndarray, kraus: np.ndarray, p: int) -> np.ndarray:

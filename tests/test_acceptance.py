@@ -241,7 +241,7 @@ def test_criterion_10_flag_selftesting():
                 (random_unitary(rng, 2), random_unitary(rng, 2)),
                 (random_unitary(rng, 2), random_unitary(rng, 2)),
             )
-            assert flag_roundtrip_check(fc, eps=1e-9)
+            assert flag_roundtrip_check(fc)
             _, needs_sr = forward_channel(fc)
             if factorized:
                 saw_factorized = True

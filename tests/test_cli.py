@@ -86,6 +86,26 @@ class TestCompare:
         assert code == 0
         assert out.splitlines()[0] == "Equivalent Decided"
 
+    def test_long_directional_report(self, capsys):
+        code, out, _ = run(capsys, "--long", "compare", "max_entangled(4)", "phi_plus")
+        assert code == 0
+        assert out.splitlines() == [
+            "PsiToPhiOnly Decided",
+            "A|B: 0.5 0.5",
+            "psi->phi: passes necessity (Decided)",
+            "phi->psi: ruled out (RankRatioNonInteger at A|B)",
+        ]
+
+    def test_long_equivalent_report(self, capsys):
+        code, out, _ = run(capsys, "--long", "compare", "phi_plus", "phi_plus")
+        assert code == 0
+        assert out.splitlines() == [
+            "Equivalent Decided",
+            "A|B: 1",
+            "psi->phi: passes necessity (Decided)",
+            "phi->psi: passes necessity (Decided)",
+        ]
+
     def test_unknown_state(self, capsys):
         code, _, err = run(capsys, "compare", "phi_plus", "nonsense")
         assert code == 2

@@ -6,8 +6,8 @@ import pytest
 from losrkit import Bipartition, Tolerances, catalog, config, schmidt_spectrum
 
 
-def two_bell_rank() -> int:
-    return schmidt_spectrum(catalog.two_bell(), Bipartition.parse("A|BC", 3)).rank()
+def partial_rank() -> int:
+    return schmidt_spectrum(catalog.partial(0.3), Bipartition.parse("A|B", 2)).rank()
 
 
 class TestOverride:
@@ -17,10 +17,10 @@ class TestOverride:
             with config.override(eps_match=1e-3) as inner:
                 assert inner == Tolerances(tau_rank=0.3, eps_match=1e-3)
                 assert config.current() is inner
-                assert two_bell_rank() == 0
+                assert partial_rank() == 1
             assert config.current() == outer
         assert config.current() == Tolerances()
-        assert two_bell_rank() == 4
+        assert partial_rank() == 2
 
     def test_restored_after_exception(self):
         with pytest.raises(RuntimeError):
@@ -53,16 +53,16 @@ class TestThreads:
         def worker(tau):
             with config.override(tau_rank=tau):
                 barrier.wait()  # both overrides are now in effect at once
-                ranks[tau] = two_bell_rank()
+                ranks[tau] = partial_rank()
                 barrier.wait()
 
-        threads = [threading.Thread(target=worker, args=(tau,)) for tau in (0.3, 0.1)]
+        threads = [threading.Thread(target=worker, args=(tau,)) for tau in (0.1, 0.05)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
             assert not t.is_alive()
-        assert ranks == {0.3: 0, 0.1: 4}
+        assert ranks == {0.1: 1, 0.05: 2}
         assert config.current() == Tolerances()
 
     def test_new_thread_starts_from_defaults(self):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from losrkit import (
     verdict_to_text,
 )
 from losrkit.selftest import conjugate_state
-from conftest import majorizes, random_pure
+from conftest import majorizes, random_pure, random_unitary
 
 AB = Bipartition(frozenset({0}), 2)
 
@@ -218,6 +220,21 @@ class TestMultipartite:
         psi = random_pure(rng, (2, 2, 2))
         v = multipartite_check(psi, psi)
         assert v.direction != Direction.EQUIVALENT
+
+    def test_four_parties_local_unitary_copy_inconclusive(self, rng):
+        psi = random_pure(rng, (2, 2, 2, 2))
+        u = reduce(np.kron, [random_unitary(rng, 2) for _ in range(4)])
+        v = multipartite_check(psi, PureState((2, 2, 2, 2), u @ psi.amplitudes))
+        assert (v.direction, v.reason) == (Direction.INCONCLUSIVE, Reason.NECESSARY_PASSED_ONLY)
+        assert len(v.witness) == 7
+        assert v.forward.reason == v.backward.reason == Reason.NECESSARY_PASSED_ONLY
+
+    def test_four_parties_independent_states_incomparable(self, rng):
+        psi = random_pure(rng, (2, 2, 2, 2))
+        phi = random_pure(rng, (2, 2, 2, 2))
+        v = multipartite_check(psi, phi)
+        assert v.direction == Direction.INCOMPARABLE
+        assert v.forward.ruled_out and v.backward.ruled_out
 
 
 class TestCatalysis:

@@ -25,3 +25,11 @@ def test_hardy_landscape_meets_closed_form():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[0] == "theta yield oracle closed_form"
     assert len(proc.stdout.splitlines()) == 1 + 5 + 3
+
+
+def test_monotonicity_sweep_finds_no_violation():
+    proc = run_script("monotonicity_sweep.py", "--channels", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("channels 2, worst excess ")
+    assert last.endswith(", violations 0")

@@ -22,7 +22,6 @@ from losrkit import (
     partial_trace,
     permute_parties,
     save_state,
-    schmidt_rank,
     schmidt_spectrum,
     tensor_product,
 )
@@ -196,15 +195,21 @@ class TestSchmidtSpectrum:
         psi = random_pure(rng, (4, 2))
         spec = schmidt_spectrum(psi, AB)
         assert len(spec) == 4
-        assert schmidt_rank(spec) <= 2
+        assert spec.rank() <= 2
 
     def test_rank_examples(self):
-        assert schmidt_rank(SchmidtSpectrum(np.array([0.5, 0.5]))) == 2
-        assert schmidt_rank(SchmidtSpectrum(np.array([1.0]))) == 1
-        assert schmidt_rank(SchmidtSpectrum(np.array([0.25] * 4))) == 4
+        assert SchmidtSpectrum(np.array([0.5, 0.5])).rank() == 2
+        assert SchmidtSpectrum(np.array([1.0])).rank() == 1
+        assert SchmidtSpectrum(np.array([0.25] * 4)).rank() == 4
         with pytest.raises(ValueError):
             with config.override(tau_rank=0.0):
-                schmidt_rank(SchmidtSpectrum(np.array([1.0])))
+                SchmidtSpectrum(np.array([1.0])).rank()
+
+    def test_rank_raises_when_cutoff_removes_every_entry(self):
+        spec = schmidt_spectrum(catalog.two_bell(), bip({0}, 3))
+        with config.override(tau_rank=0.3):
+            with pytest.raises(ValueError, match="removes every Schmidt coefficient"):
+                spec.rank()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
