@@ -52,6 +52,8 @@ class Box:
         if any(s < 1 for s in settings) or any(o < 1 for o in outcomes):
             raise ValueError("settings and outcomes counts must be positive")
         table = np.asarray(self.table, dtype=float).reshape(settings + outcomes)
+        if not np.all(np.isfinite(table)):
+            raise ValueError("box table entries must be finite")
         if float(table.min()) < _PROB_FLOOR:
             raise ValueError(f"negative probability {table.min():.3g}")
         sums = table.sum(axis=tuple(range(n, 2 * n)))
@@ -234,6 +236,10 @@ class TiltedCHSH(_LinearFunctional):
 
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+
     def coefficients(self) -> np.ndarray:
         c = CHSH().coefficients()
         for y, a, b in product(range(2), repeat=3):
@@ -247,26 +253,23 @@ class HardyScore:
 
     Convention: constraints p(0,0|0,1) = p(0,0|1,0) = p(1,1|1,1) = 0, the
     objective is p(0,0|0,0).  Labelings differ across the literature; all
-    results here are internal to this convention.
+    results here are internal to this convention, which the closed-form
+    Hardy yield also builds its measurements for, so it is fixed.
     """
 
-    zero_entries: tuple[tuple[int, int, int, int], ...] = (
-        (0, 1, 0, 0),
-        (1, 0, 0, 0),
-        (1, 1, 1, 1),
-    )
-    objective_entry: tuple[int, int, int, int] = (0, 0, 0, 0)
+    ZERO_ENTRIES = ((0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1))
+    OBJECTIVE_ENTRY = (0, 0, 0, 0)
 
     def constraint_violation(self, box: Box) -> float:
         _require_shape(box, (2, 2), (2, 2), "HardyScore")
-        return float(max(box.table[e] for e in self.zero_entries))
+        return float(max(box.table[e] for e in self.ZERO_ENTRIES))
 
     def evaluate(self, box: Box) -> float:
         """The objective probability if all zero constraints hold, else 0.
         Rounding can leave the entry slightly below 0; it is reported as 0."""
         if self.constraint_violation(box) > config.current().eps_hardy:
             return 0.0
-        return max(0.0, float(box.table[self.objective_entry]))
+        return max(0.0, float(box.table[self.OBJECTIVE_ENTRY]))
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def xy_measurements(n_parties: int = 3) -> MeasurementFamily:
     vecs = np.zeros((n_parties, 2, 3))
     vecs[:, 0, 0] = 1.0
     vecs[:, 1, 1] = 1.0
-    return MeasurementFamily.from_bloch(vecs)
+    return MeasurementFamily(vecs)
 
 
 _PARAM_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")

@@ -5,9 +5,10 @@ can generate.  Shared randomness never helps here, so plain local strategies
 suffice: for convex-linear functionals (CHSH, tilted CHSH, the parity game)
 the optimum over mixtures of strategies is attained at a pure strategy, and
 for the Hardy score mixing can only violate the zero constraints.  The
-optimization domain is projective qubit measurements parameterized by Bloch
-angles; every two-outcome qubit POVM is a mixture of projective ones, so
-nothing is lost for these functionals at qubit dimensions.
+optimization domain is projective qubit measurements, each stored as a unit
+Bloch vector; every two-outcome qubit POVM is a mixture of projective ones,
+so nothing is lost for these functionals at qubit dimensions.  Angles appear
+only in printed results.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
 (closed-form Bloch updates), and the best restart is the answer.  The
@@ -16,8 +17,10 @@ party, so a party's field is a chain of matrix products, and every restart
 is swept in one batch until it stalls on its own.  The Hardy score needs no
 search: the three zero constraints fix every direction once A's setting-1
 ket is chosen, and Hardy's closed-form argmax gives that ket from the SVD of
-the state's amplitude matrix.  Each restart's value is reported with the
-result.  Results are deterministic given (state, functional, restarts, seed).
+the state's amplitude matrix.  The see-saw's score and the reported box
+come from one Born-rule map of the Bloch vectors.  Each restart's value is
+reported with the result.  Results are deterministic given (state,
+functional, restarts, seed).
 """
 
 from __future__ import annotations
@@ -45,47 +48,39 @@ _SEESAW_FTOL = 1e-10
 
 @dataclass(frozen=True)
 class MeasurementFamily:
-    """Projective qubit measurements, one Bloch direction per (party, setting).
+    """Projective qubit measurements, one unit Bloch vector n per (party, setting).
 
-    ``angles[p, x]`` holds (polar, azimuthal) in radians; outcome 0 projects
-    onto +n, outcome 1 onto -n.  Higher-dimensional measurements can be
-    passed to ``born_box`` directly as ``[party][setting][outcome]`` POVM
-    array-likes; this class only covers the qubit optimization domain.
+    ``vectors[p, x]`` is n; outcome 0 projects onto +n, outcome 1 onto -n.
+    ``angles`` gives the same directions as (polar, azimuthal) radians for
+    printing.  Higher-dimensional measurements can be passed to
+    ``born_box`` directly as ``[party][setting][outcome]`` POVM array-likes;
+    this class only covers the qubit optimization domain.
     """
 
-    angles: np.ndarray  # (n_parties, n_settings, 2)
+    vectors: np.ndarray  # (n_parties, n_settings, 3)
 
     def __post_init__(self):
-        ang = np.asarray(self.angles, dtype=float)
-        if ang.ndim != 3 or ang.shape[2] != 2:
-            raise ValueError("angles must have shape (n_parties, n_settings, 2)")
-        ang.setflags(write=False)
-        object.__setattr__(self, "angles", ang)
+        v = np.array(self.vectors, dtype=float)
+        if v.ndim != 3 or v.shape[2] != 3:
+            raise ValueError("vectors must have shape (n_parties, n_settings, 3)")
+        # Written so that NaN and inf fail the comparison.
+        if not np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= 1e-12):
+            raise ValueError("Bloch vectors must be finite and unit norm within 1e-12")
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
 
     @property
-    def n_parties(self) -> int:
-        return self.angles.shape[0]
-
-    @property
-    def n_settings(self) -> int:
-        return self.angles.shape[1]
-
-    def bloch_vectors(self) -> np.ndarray:
-        return _angles_to_vecs(self.angles)
+    def angles(self) -> np.ndarray:
+        """(polar, azimuthal) in radians, shape ``(n_parties, n_settings, 2)``."""
+        x, y, z = np.moveaxis(self.vectors, -1, 0)
+        return np.stack([np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)], axis=-1)
 
     def povms(self) -> np.ndarray:
-        """``[party][setting][outcome]`` 2x2 projectors, as one array of shape
-        ``(n_parties, n_settings, 2, 2, 2)``."""
-        op = np.tensordot(self.bloch_vectors(), np.stack(PAULI[1:]), axes=1)
-        return (PAULI[0] + np.array([1, -1])[:, None, None] * op[:, :, None]) / 2
-
-    @classmethod
-    def from_bloch(cls, vectors) -> MeasurementFamily:
-        v = np.asarray(vectors, dtype=float)
-        norms = np.linalg.norm(v, axis=-1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-12:
-            raise ValueError("Bloch vectors must be unit norm within 1e-12")
-        return cls(_vecs_to_angles(v))
+        """``[party][setting][outcome]`` 2x2 projectors (1 +/- n.sigma)/2, as one
+        array of shape ``(n_parties, n_settings, 2, 2, 2)``; the see-saw
+        scores the same Born-rule vectors."""
+        u = _u_arrays(self.vectors).reshape(self.vectors.shape[:2] + (2, 4))
+        return np.tensordot(u, np.stack(PAULI), axes=1) / 2
 
 
 @dataclass(frozen=True)
@@ -103,8 +98,8 @@ class YieldResult:
 
     def to_text(self) -> str:
         lines = [f"{self.value:.10g} {self.restarts_used} {self.seed}"]
-        for p in range(self.argmax.n_parties):
-            row = " ".join(f"{v:.10g}" for v in self.argmax.angles[p].reshape(-1))
+        for p, angles in enumerate(self.argmax.angles):
+            row = " ".join(f"{v:.10g}" for v in angles.reshape(-1))
             lines.append(f"party {p}: {row}")
         return "\n".join(lines)
 
@@ -179,17 +174,6 @@ def _seesaw_linear(K: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return value, vecs
 
 
-def _angles_to_vecs(angles: np.ndarray) -> np.ndarray:
-    th, ph = angles[..., 0], angles[..., 1]
-    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-
-
-def _vecs_to_angles(vecs: np.ndarray) -> np.ndarray:
-    theta = np.arccos(np.clip(vecs[..., 2], -1.0, 1.0))
-    phi = np.arctan2(vecs[..., 1], vecs[..., 0])
-    return np.stack([theta, phi], axis=-1)
-
-
 def _perp(v: np.ndarray) -> np.ndarray:
     """The qubit ket orthogonal to ``v``, of the same norm."""
     return np.array([-v[1].conjugate(), v[0].conjugate()])
@@ -240,7 +224,7 @@ def _optimize_hardy(state: DensityMatrix) -> tuple[MeasurementFamily, list[float
         kets = _hardy_kets(M, U @ np.sqrt([c, s]))
         value = abs(np.vdot(kets[0], M @ kets[2].conj())) ** 2
     bloch = [[np.vdot(k, p @ k).real for p in PAULI[1:]] for k in kets]
-    return MeasurementFamily.from_bloch(np.reshape(bloch, (2, 2, 3))), [value]
+    return MeasurementFamily(np.reshape(bloch, (2, 2, 3))), [value]
 
 
 def optimize_yield(
@@ -275,7 +259,7 @@ def optimize_yield(
         v0 = np.random.default_rng(seed).standard_normal((restarts, n, 2, 3))
         v0 /= np.linalg.norm(v0, axis=-1, keepdims=True)
         restart_values, vecs = _seesaw_linear(K, v0)
-        family = MeasurementFamily(_vecs_to_angles(vecs[int(np.argmax(restart_values))]))
+        family = MeasurementFamily(vecs[int(np.argmax(restart_values))])
 
     value = f.evaluate(born_box(state, family))
     return YieldResult(value, family, restarts, seed, tuple(float(v) for v in restart_values))

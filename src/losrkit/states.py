@@ -17,16 +17,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import config
 
 # Auto-normalization threshold: small drifts are repaired with a warning,
 # anything larger is treated as a malformed input rather than rescaled away.
 NORM_REPAIR_LIMIT = 1e-3
-
-# Dense positivity checks are skipped above this side length; only the cheap
-# necessary conditions (Hermiticity, trace, nonnegative diagonal) remain.
-_PSD_CHECK_MAX_DIM = 256
 
 
 def _as_party_dims(party_dims) -> tuple[int, ...]:
@@ -57,6 +54,8 @@ class PureState:
             raise ValueError(
                 f"amplitude length {amp.size} does not match dims {dims}"
             )
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         nrm = float(np.linalg.norm(amp))
         dev = abs(nrm - 1.0)
         if dev > NORM_REPAIR_LIMIT:
@@ -97,6 +96,8 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix entries must be finite")
         eps = config.current().eps_norm
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > eps:
@@ -104,12 +105,15 @@ class DensityMatrix:
         tr_dev = abs(complex(np.trace(mat)) - 1.0)
         if tr_dev > eps:
             raise ValueError(f"trace deviates from 1 by {tr_dev:.3g}")
-        if total <= _PSD_CHECK_MAX_DIM:
+        # PSD within eps at every size: Cholesky of one shifted copy, factored in
+        # place (the transpose is Fortran-ordered and, for a Hermitian matrix,
+        # the conjugate, of equal spectrum); eigvalsh only names a failure.
+        shifted = mat.T.copy(order="F")
+        shifted[np.diag_indices(total)] += eps
+        if lapack.zpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] != 0:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < -eps:
                 raise ValueError(f"matrix has negative eigenvalue {lo:.3g}")
-        elif float(np.min(mat.diagonal().real)) < -eps:
-            raise ValueError("matrix has negative diagonal entry")
         mat.setflags(write=False)
         object.__setattr__(self, "party_dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -248,6 +252,8 @@ class LocalChannelFamily:
         in_dims = None
         for weight, per_party in self.components:
             w = float(weight)
+            if not np.isfinite(w):
+                raise ValueError(f"mixing weight {w} is not finite")
             if w < -eps:
                 raise ValueError(f"negative mixing weight {w}")
             weights.append(w)
@@ -257,6 +263,8 @@ class LocalChannelFamily:
                 ops = tuple(np.asarray(k, dtype=complex) for k in kraus_list)
                 if not ops:
                     raise ValueError("each party needs at least one Kraus operator")
+                if not all(np.all(np.isfinite(k)) for k in ops):
+                    raise ValueError("Kraus operators must be finite")
                 rows, cols = ops[0].shape
                 if any(k.shape != (rows, cols) for k in ops):
                     raise ValueError("Kraus operators of one party must share a shape")

@@ -38,6 +38,12 @@ class TestBoxType:
         with pytest.raises(ValueError):
             Box(2, (2, 2), (2, 2), table)
 
+    def test_non_finite_entry_rejected(self):
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[1, 0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Box(2, (2, 2), (2, 2), table)
+
     def test_unnormalized_conditional_rejected(self):
         table = np.full((2, 2, 2, 2), 0.3)
         with pytest.raises(ValueError):
@@ -171,6 +177,11 @@ class TestTiltedCHSH:
             best = max(f.evaluate(v) for v in verts)
             assert best == pytest.approx(2.0 + alpha, abs=1e-9)
 
+    def test_non_finite_alpha_rejected(self):
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TiltedCHSH(alpha)
+
     def test_reduces_to_chsh_at_zero(self):
         box = catalog.tsirelson_box()
         assert TiltedCHSH(0.0).evaluate(box) == pytest.approx(CHSH().evaluate(box), abs=1e-12)
@@ -190,7 +201,7 @@ class TestHardyScore:
         for _ in range(12):
             vecs = rng.standard_normal((2, 2, 3))
             vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
-            box = born_box(catalog.phi_plus().density(), MeasurementFamily.from_bloch(vecs))
+            box = born_box(catalog.phi_plus().density(), MeasurementFamily(vecs))
             assert f.evaluate(box) <= 1e-6 or f.constraint_violation(box) > 1e-7
 
 

@@ -206,6 +206,41 @@ class TestYield:
         code, _, err = run(capsys, "yield", "phi_plus", "klrate")
         assert code == 2
 
+    def test_hardy_angles_pinned(self, capsys):
+        code, out, _ = run(capsys, "yield", "partial(0.4387)", "hardy")
+        assert code == 0
+        assert out == (
+            "0.0901456848 32 0\n"
+            "party 0: 2.519672123 0 1.201144077 0\n"
+            "party 1: 2.519672123 3.141592654 1.201144077 3.141592654\n"
+        )
+
+    @pytest.mark.parametrize(
+        "state, functional, expected",
+        [
+            ("ghz", "mermin", [
+                [1, 32, 0],
+                [1.570796327, 2.212582982, 1.570796327, -2.499805998],
+                [1.570796327, 1.367179366, 1.570796327, 2.937975693],
+                [1.570796327, 2.703422958, 1.570796327, -2.008966022],
+            ]),
+            ("partial(0.39)", "chsh", [
+                [2.445078274, 32, 0],
+                [2.163880735, 2.720891228, 0.3217903666, 2.720907952],
+                [1.120190895, -2.720895845, 2.906719677, -2.720880917],
+            ]),
+        ],
+    )
+    def test_linear_angles_pinned(self, capsys, state, functional, expected):
+        code, out, _ = run(capsys, "yield", state, functional)
+        assert code == 0
+        lines = out.splitlines()
+        assert [ln.split(":")[0] for ln in lines[1:]] == [f"party {p}" for p in range(len(lines) - 1)]
+        got = [[float(t) for t in ln.split(":")[-1].split()] for ln in lines]
+        assert len(got) == len(expected)
+        for row, want in zip(got, expected):
+            assert row == pytest.approx(want, abs=1e-8)
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")
         _, out2, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")
@@ -279,6 +314,28 @@ MALFORMED = [
     (["compare", "max_entangled(2.5)", "phi_plus"], ["'max_entangled(2.5)'"]),
     (["--tau-rank", "0.6", "--long", "schmidt", "phi_plus", "A|B"], ["tau_rank 0.6", "largest 0.5"]),
 ]
+
+
+@pytest.mark.parametrize("case", ["box_file", "state_file", "alpha"])
+def test_non_finite_input_exits_two(capsys, tmp_path, case):
+    if case == "box_file":
+        path = tmp_path / "box.txt"
+        save_box(path, uniform_box((2, 2), (2, 2)))
+        path.write_text(path.read_text().replace("0.25", "nan", 1))
+        argv = ["box-eval", str(path), "chsh"]
+    elif case == "state_file":
+        path = tmp_path / "state.txt"
+        save_state(path, catalog.phi_plus())
+        lines = path.read_text().splitlines()
+        lines[1] = "nan 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["schmidt", str(path), "A|B"]
+    else:
+        argv = ["yield", "phi_plus", "tilted", "--alpha", "nan"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
 
 
 @pytest.mark.parametrize("argv, named", MALFORMED, ids=[f"argv{i}" for i in range(len(MALFORMED))])

@@ -86,12 +86,19 @@ class TestMeasurementFamily:
         vecs = np.zeros((1, 1, 3))
         vecs[0, 0] = [0.9, 0.0, 0.0]
         with pytest.raises(ValueError):
-            MeasurementFamily.from_bloch(vecs)
+            MeasurementFamily(vecs)
+
+    def test_non_finite_vectors_rejected(self):
+        vecs = np.zeros((2, 2, 3))
+        vecs[..., 2] = 1.0
+        vecs[1, 0] = [np.nan, 0.0, 1.0]
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementFamily(vecs)
 
     def test_povms_complete_and_projective(self, rng):
         vecs = rng.standard_normal((2, 2, 3))
         vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
-        fam = MeasurementFamily.from_bloch(vecs)
+        fam = MeasurementFamily(vecs)
         for party in fam.povms():
             for setting in party:
                 total = sum(setting)
@@ -102,8 +109,11 @@ class TestMeasurementFamily:
     def test_bloch_roundtrip(self, rng):
         vecs = rng.standard_normal((3, 2, 3))
         vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
-        fam = MeasurementFamily.from_bloch(vecs)
-        assert np.max(np.abs(fam.bloch_vectors() - vecs)) < 1e-12
+        fam = MeasurementFamily(vecs)
+        th, ph = np.moveaxis(fam.angles, -1, 0)
+        rebuilt = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+        assert np.max(np.abs(rebuilt - fam.vectors)) < 1e-12
+        assert np.max(np.abs(fam.vectors - vecs)) < 1e-12
 
 
 class TestHorodecki:

@@ -64,6 +64,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityMatrix((2,), np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    def test_non_finite_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PureState((2, 2), np.array([np.nan, 0.0, 0.0, 0.5]))
+
+    def test_non_finite_density_entry_rejected(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix((2, 2), m)
+
+    def test_negative_eigenvalue_rejected_above_256(self):
+        m = np.eye(512) / 512
+        m[0, 1] = m[1, 0] = 0.01  # smallest eigenvalue about -0.008
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix((512,), m)
+
     def test_spectrum_invariants(self):
         spec = SchmidtSpectrum(np.array([0.25, 0.5, 0.25]))
         assert list(spec.values) == [0.5, 0.25, 0.25]
@@ -256,6 +272,13 @@ def depolarizing_kraus(d: int = 2):
 
 
 class TestChannels:
+    def test_non_finite_weight_or_kraus_rejected(self):
+        ident = ((np.eye(2),), (np.eye(2),))
+        with pytest.raises(ValueError, match="finite"):
+            LocalChannelFamily(((np.nan, ident), (1.0, ident)))
+        with pytest.raises(ValueError, match="finite"):
+            LocalChannelFamily.from_local_kraus(((np.diag([1.0, np.nan]),), (np.eye(2),)))
+
     def test_identity(self, rng):
         rho = random_density(rng, (2, 2))
         out = apply_channel(rho, LocalChannelFamily.identity((2, 2)))
@@ -335,7 +358,7 @@ class TestBornBox:
             vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
             from losrkit import MeasurementFamily
 
-            box = born_box(rho, MeasurementFamily.from_bloch(vecs))
+            box = born_box(rho, MeasurementFamily(vecs))
             assert is_no_signaling(box, 1e-10)
 
     def test_matches_kronecker_reference(self, rng):
@@ -348,7 +371,7 @@ class TestBornBox:
             qutrit_povm.append([[np.outer(u[:, a], u[:, a].conj()) for a in range(3)] for u in us])
         vecs = rng.standard_normal((3, 2, 3))
         vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
-        qubit_povm = MeasurementFamily.from_bloch(vecs).povms()
+        qubit_povm = MeasurementFamily(vecs).povms()
         cases = [((3, 3), qutrit_povm), ((2, 2, 2), qubit_povm), ((2, 3), [qubit_povm[0], qutrit_povm[1]])]
         for dims, meas in cases:
             rho = random_density(rng, dims)
