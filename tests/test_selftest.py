@@ -278,6 +278,23 @@ class TestClosureScan:
         # finite-set condition is honestly not satisfied
         assert not report.satisfied
 
+    def test_multipartite_incomparable_reacher_pinned(self):
+        from losrkit import MerminGHZ, PureState
+
+        w_state = PureState((2, 2, 2), np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3))
+        report = closure_scan(MerminGHZ(), 1.0, w_state, [catalog.ghz()], restarts=6, seed=3)
+        assert report.to_text().splitlines()[1] == "0 1 1 no_conversion(Incomparable)"
+        assert report.entries[0].converts is False
+        assert not report.satisfied
+
+    def test_party_count_mismatch_is_undecided(self):
+        report = closure_scan(
+            CHSH(), 2 * np.sqrt(2), catalog.ghz(), [catalog.phi_plus()], restarts=6, seed=3
+        )
+        assert report.to_text().splitlines()[1].endswith(" 1 conversion_undecided")
+        assert report.entries[0].converts is None
+        assert not report.satisfied
+
     def test_report_text_table(self):
         report = closure_scan(
             CHSH(), 2 * np.sqrt(2), catalog.phi_plus(), [catalog.phi_plus()],
