@@ -28,7 +28,6 @@ from .boxes import (
     MerminGHZ,
     NonlocalCertificate,
     TiltedCHSH,
-    deterministic_vertices,
     is_no_signaling,
     load_box,
     local_membership,
@@ -42,10 +41,8 @@ from .preorder import (
     FactorizationResult,
     Reason,
     catalytic_convertible,
-    compare_bipartite,
+    compare,
     factor_spectrum,
-    factor_spectrum_bruteforce,
-    multipartite_check,
     rank_ratio_admissible,
     spectra_equal,
     verdict_to_text,

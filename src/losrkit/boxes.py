@@ -87,15 +87,13 @@ def is_no_signaling(b: Box, eps: float = 1e-9) -> bool:
     return True
 
 
-def _vertex_matrix(
-    settings: tuple[int, ...], outcomes: tuple[int, ...], extra_columns: int = 0
-) -> np.ndarray:
-    """Deterministic strategies as rows of flattened tables.
+def _vertex_matrix(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> np.ndarray:
+    """The membership LP's constraint rows, one per deterministic strategy.
 
     Strategies are in lexicographic order, party 0 most significant; party
     p's strategy is its outcome tuple over settings, also lexicographic.
-    The rows fill the first columns of an ``(n_verts, dim + extra_columns)``
-    array; the extra columns are left uninitialised for the caller.
+    Each row of the ``(n_verts, dim + 1)`` result is the strategy's flattened
+    table followed by -1, the coefficient of the LP's bound variable.
     """
     n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
     dim = math.prod(settings + outcomes)
@@ -108,7 +106,8 @@ def _vertex_matrix(
     # of the [k..., x..., a...] layout; the last party's product is written
     # straight into the result, seen in that layout.
     n = len(settings)
-    mat = np.empty((n_verts, dim + extra_columns))
+    mat = np.empty((n_verts, dim + 1))
+    mat[:, dim] = -1.0
     layout = mat[:, :dim].reshape(tuple(o**s for s, o in zip(settings, outcomes)) + settings + outcomes)
     joint = np.ones((1,) * 3 * n)
     for p, (s, o) in enumerate(zip(settings, outcomes)):
@@ -119,16 +118,9 @@ def _vertex_matrix(
     return mat
 
 
-def deterministic_vertices(settings_per_party, outcomes_per_party) -> list[Box]:
-    """All deterministic local strategies of the scenario, as boxes."""
-    settings = tuple(int(s) for s in settings_per_party)
-    outcomes = tuple(int(o) for o in outcomes_per_party)
-    return [Box(len(settings), settings, outcomes, row) for row in _vertex_matrix(settings, outcomes)]
-
-
 @dataclass(frozen=True)
 class LocalModel:
-    """Convex weights over ``deterministic_vertices`` reproducing the box table.
+    """Convex weights over the deterministic strategies reproducing the box table.
 
     ``weights`` are the duals of the separation LP, a basic (sparse)
     solution; ``reconstruction_error`` is the verified max |V^T w - p|.
@@ -167,10 +159,9 @@ def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
     """
     if not is_no_signaling(b):
         raise ValueError("local_membership requires a no-signaling box")
-    a_ub = _vertex_matrix(b.settings_per_party, b.outcomes_per_party, extra_columns=1)
+    a_ub = _vertex_matrix(b.settings_per_party, b.outcomes_per_party)
     p_flat = b.table.reshape(-1)
     n_verts, dim = len(a_ub), p_flat.size
-    a_ub[:, dim] = -1.0
     v_mat = a_ub[:, :dim]
 
     cost = np.concatenate([-p_flat, [1.0]])

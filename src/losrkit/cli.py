@@ -18,7 +18,7 @@ from . import catalog, config
 from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
 from .demos import DEMOS
 from .monotones import optimize_yield
-from .preorder import compare_bipartite, factor_spectrum, multipartite_check, verdict_to_text
+from .preorder import compare, factor_spectrum, verdict_to_text
 from .selftest import closure_scan
 from .states import Bipartition, PureState, load_state, schmidt_spectrum
 
@@ -92,19 +92,9 @@ def cmd_schmidt(args) -> int:
 def cmd_compare(args) -> int:
     psi = _load_pure(args.state1)
     phi = _load_pure(args.state2)
-    if psi.n_parties != phi.n_parties:
-        raise InputError("states must have the same number of parties")
-    verdict = compare_bipartite(psi, phi) if psi.n_parties == 2 else multipartite_check(psi, phi)
-    print(verdict_to_text(verdict, long=args.long))
-    return 0
-
-
-def cmd_multi_check(args) -> int:
-    psi = _load_pure(args.state1)
-    phi = _load_pure(args.state2)
-    if psi.n_parties < 3 or phi.n_parties != psi.n_parties:
+    if args.command == "multi-check" and not psi.n_parties == phi.n_parties >= 3:
         raise InputError("multi-check needs two states with the same n >= 3 parties")
-    print(verdict_to_text(multipartite_check(psi, phi), long=args.long))
+    print(verdict_to_text(compare(psi, phi), long=args.long))
     return 0
 
 
@@ -223,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multi-check", help="multipartite necessary-condition check")
     p.add_argument("state1")
     p.add_argument("state2")
-    p.set_defaults(func=cmd_multi_check)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("box-local", help="local-polytope membership with certificate")
     p.add_argument("box")

@@ -11,14 +11,7 @@ import numpy as np
 from . import catalog
 from .boxes import CHSH, HardyScore, MerminGHZ, NonlocalCertificate, local_membership
 from .monotones import horodecki_chsh, optimize_yield
-from .preorder import (
-    Direction,
-    Reason,
-    catalytic_convertible,
-    compare_bipartite,
-    factor_spectrum,
-    multipartite_check,
-)
+from .preorder import Direction, Reason, catalytic_convertible, compare
 from .selftest import FlagConstruction, closure_scan, flag_roundtrip_check, forward_channel
 from .states import born_box, schmidt_spectrum
 
@@ -69,7 +62,7 @@ def demo_anomaly(seed: int = 0) -> tuple[list[str], bool]:
     rep.check(abs(chsh_max - 2 * np.sqrt(2)) <= 1e-6, "phi_plus reaches the Tsirelson value")
     rep.check(chsh_partial < chsh_max - 1e-3, "the partial state does not reach it")
 
-    verdict = compare_bipartite(phi, catalog.partial(best_theta))
+    verdict = compare(phi, catalog.partial(best_theta))
     rep.say(f"compare phi_plus partial  {verdict.direction.value}")
     rep.check(verdict.direction == Direction.INCOMPARABLE, "the two states are incomparable")
     rep.check(
@@ -95,7 +88,7 @@ def demo_ghz_mermin(seed: int = 0) -> tuple[list[str], bool]:
         "the realized box is outside the local polytope",
     )
 
-    verdict = multipartite_check(catalog.two_bell(), catalog.ghz())
+    verdict = compare(catalog.two_bell(), catalog.ghz())
     rep.say(f"two_bell vs ghz: {verdict.direction.value}")
     rep.check(verdict.direction == Direction.INCOMPARABLE, "two Bell pairs and GHZ are incomparable")
     rep.check(
@@ -164,7 +157,7 @@ def demo_catalysis(seed: int = 0) -> tuple[list[str], bool]:
             psi = catalog.state_with_spectrum(rng.dirichlet(np.ones(ranks[0])))
             phi = catalog.state_with_spectrum(rng.dirichlet(np.ones(ranks[1])))
         chi = catalog.state_with_spectrum(rng.dirichlet(np.ones(max(2, ranks[2]))))
-        plain = compare_bipartite(psi, phi).allows_forward()
+        plain = compare(psi, phi).allows_forward()
         cat = catalytic_convertible(psi, phi, chi)
         convertible_cases += int(plain)
         if cat != plain:

@@ -13,16 +13,14 @@ NecessaryPassedOnly and verdicts stay Inconclusive.
 The factorization itself replaces the factorial permutation search with greedy
 multiset peeling: the largest unconsumed source entry must equal the largest
 target entry times the next auxiliary entry, which pins that auxiliary entry
-and removes one scaled copy of the target multiset.  Equivalence with the
-exhaustive search is enforced by test suites against the brute-force oracle
-kept alongside (``factor_spectrum_bruteforce``).
+and removes one scaled copy of the target multiset.  The test suite checks it
+against an exhaustive search over all assignments.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -73,11 +71,6 @@ class DirectionReport:
     zetas: tuple[tuple[Bipartition, SchmidtSpectrum], ...] | None = None
     borderline: bool = False
 
-    def zeta_ranks(self) -> dict[Bipartition, int] | None:
-        if self.zetas is None:
-            return None
-        return {beta: z.rank() for beta, z in self.zetas}
-
 
 @dataclass(frozen=True)
 class ConversionVerdict:
@@ -88,7 +81,11 @@ class ConversionVerdict:
     witness: tuple[tuple[Bipartition, SchmidtSpectrum], ...] | None
     forward: DirectionReport
     backward: DirectionReport
-    borderline: bool = False
+
+    @property
+    def borderline(self) -> bool:
+        """True iff either direction decided within 10x of the matching tolerance."""
+        return self.forward.borderline or self.backward.borderline
 
     def allows_forward(self) -> bool:
         """True iff the verdict certifies psi converts to phi."""
@@ -163,44 +160,6 @@ def factor_spectrum(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> Factoriza
     return _finish(zeta, psi, phi)
 
 
-def factor_spectrum_bruteforce(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> FactorizationResult:
-    """Exhaustive oracle: try every assignment of source entries to the
-    rank(phi) x k grid.  Factorial in rank(psi); keep ranks <= 8."""
-    eps = config.current().eps_match
-    psi = l_psi.truncated()
-    phi = l_phi.truncated()
-    k = rank_ratio_admissible(psi.size, phi.size)
-    if k is None:
-        return FactorizationResult(False, None, np.inf, Reason.RANK_RATIO_NON_INTEGER)
-    if psi.size > 8:
-        raise ValueError("brute-force oracle limited to rank <= 8")
-    m = phi.size
-    best_gap = np.inf
-    for perm in permutations(range(psi.size)):
-        ok = True
-        zeta = []
-        gap_here = 0.0
-        for col in range(k):
-            z = psi[perm[col * m]] / phi[0]
-            for i in range(m):
-                gap = abs(psi[perm[col * m + i]] - phi[i] * z)
-                gap_here = max(gap_here, gap)
-                if gap > eps:
-                    ok = False
-                    break
-            if not ok:
-                break
-            zeta.append(z)
-        if ok:
-            res = _finish(sorted(zeta, reverse=True), psi, phi)
-            if res.found:
-                return res
-        best_gap = min(best_gap, gap_here)
-    return FactorizationResult(
-        False, None, best_gap, Reason.FACTORIZATION_FAILED, borderline=best_gap <= 10 * eps
-    )
-
-
 def _spectra(state: PureState) -> dict[Bipartition, SchmidtSpectrum]:
     return {beta: schmidt_spectrum(state, beta) for beta in all_bipartitions(state.n_parties)}
 
@@ -239,59 +198,42 @@ def _check_direction(
     return DirectionReport(False, passed, zetas=tuple(zetas), borderline=borderline)
 
 
-def compare_bipartite(psi: PureState, phi: PureState) -> ConversionVerdict:
-    """Exact convertibility decision for two bipartite pure states."""
-    if psi.n_parties != 2 or phi.n_parties != 2:
-        raise ValueError("compare_bipartite needs 2-party states; use multipartite_check")
-    sp_psi, sp_phi = _spectra(psi), _spectra(phi)
-    fwd = _check_direction(sp_psi, sp_phi, 2)
-    bwd = _check_direction(sp_phi, sp_psi, 2)
-    borderline = fwd.borderline or bwd.borderline
-    (beta,) = sp_psi
-    if spectra_equal(sp_psi[beta], sp_phi[beta]):
-        witness = ((beta, SchmidtSpectrum(np.array([1.0]))),)
-        return ConversionVerdict(Direction.EQUIVALENT, Reason.DECIDED, witness, fwd, bwd, borderline)
-    if not (fwd.ruled_out or bwd.ruled_out):
-        # both factorizations with unequal spectra would force rank ratio 1
-        # in both directions, hence equal spectra; only reachable at the
-        # tolerance boundary.
-        raise ArithmeticError("inconsistent bidirectional factorization near tolerance")
-    if not fwd.ruled_out:
-        direction, witness = Direction.PSI_TO_PHI_ONLY, fwd.zetas
-    elif not bwd.ruled_out:
-        direction, witness = Direction.PHI_TO_PSI_ONLY, bwd.zetas
-    else:
-        direction, witness = Direction.INCOMPARABLE, None
-    return ConversionVerdict(direction, Reason.DECIDED, witness, fwd, bwd, borderline)
+def compare(psi: PureState, phi: PureState) -> ConversionVerdict:
+    """Convertibility verdict for two pure states with the same n >= 2 parties.
 
-
-def multipartite_check(psi: PureState, phi: PureState) -> ConversionVerdict:
-    """Necessary-condition screening for n >= 3 parties.
-
-    Both directions are tested bipartition by bipartition; a direction
-    survives only if every factorization succeeds and (for n = 3) the
-    auxiliary ranks admit a consistent tripartite state.  Surviving
-    directions are never promoted to convertibility: matching spectra do not
-    decide local-unitary equivalence, so the best positive verdict is
-    Inconclusive.
+    Each direction runs the factorization test on every bipartition.  For
+    n = 2 it is exact: equal spectra are Equivalent and a surviving direction
+    is Decided.  For n >= 3 it is necessary only, and surviving directions are
+    never promoted to convertibility: matching spectra do not decide
+    local-unitary equivalence, so the best positive verdict is Inconclusive.
     """
     n = psi.n_parties
     if n != phi.n_parties:
         raise ValueError("states must have the same number of parties")
-    if n < 3:
-        raise ValueError("multipartite_check needs n >= 3; use compare_bipartite")
+    if n < 2:
+        raise ValueError("compare needs states of at least 2 parties")
     sp_psi, sp_phi = _spectra(psi), _spectra(phi)
     fwd = _check_direction(sp_psi, sp_phi, n)
     bwd = _check_direction(sp_phi, sp_psi, n)
-    borderline = fwd.borderline or bwd.borderline
+    if n == 2:
+        (beta,) = sp_psi
+        if spectra_equal(sp_psi[beta], sp_phi[beta]):
+            witness = ((beta, SchmidtSpectrum(np.array([1.0]))),)
+            return ConversionVerdict(Direction.EQUIVALENT, Reason.DECIDED, witness, fwd, bwd)
+        if not (fwd.ruled_out or bwd.ruled_out):
+            # both factorizations with unequal spectra would force rank ratio 1
+            # in both directions, hence equal spectra; only reachable at the
+            # tolerance boundary.
+            raise ArithmeticError("inconsistent bidirectional factorization near tolerance")
     if fwd.ruled_out and bwd.ruled_out:
-        return ConversionVerdict(
-            Direction.INCOMPARABLE, fwd.reason, None, fwd, bwd, borderline
-        )
-    witness = fwd.zetas if not fwd.ruled_out else bwd.zetas
-    return ConversionVerdict(
-        Direction.INCONCLUSIVE, Reason.NECESSARY_PASSED_ONLY, witness, fwd, bwd, borderline
-    )
+        reason = Reason.DECIDED if n == 2 else fwd.reason
+        return ConversionVerdict(Direction.INCOMPARABLE, reason, None, fwd, bwd)
+    passed = bwd if fwd.ruled_out else fwd
+    if n > 2:
+        direction = Direction.INCONCLUSIVE
+    else:
+        direction = Direction.PHI_TO_PSI_ONLY if fwd.ruled_out else Direction.PSI_TO_PHI_ONLY
+    return ConversionVerdict(direction, passed.reason, passed.zetas, fwd, bwd)
 
 
 def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> bool:

@@ -9,7 +9,8 @@ shared randomness is needed at all.
 
 Self-testing is evaluated only relative to an explicit finite candidate set
 (the universal quantifier is not decidable numerically); the scan report says
-so and marks multipartite reachers as conversion-undecided.
+so and marks reachers whose conversion it cannot decide as
+conversion-undecided.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .boxes import BellFunctional
 from .monotones import optimize_yield
-from .preorder import Direction, compare_bipartite, multipartite_check
+from .preorder import Direction, compare
 from .states import (
     DensityMatrix,
     LocalChannelFamily,
@@ -215,9 +216,10 @@ def closure_scan(
     and decide (where possible) whether each reacher converts to the target.
 
     The reacher threshold is one-sided (>= target - tol): the optimizer can
-    undershoot a quantum value but not exceed it.  Multipartite reachers are
-    reported with conversion undecided, since the spectrum test is necessary
-    only.
+    undershoot a quantum value but not exceed it.  A reacher's conversion is
+    undecided when ``compare`` is Inconclusive (the spectrum test is
+    necessary only for three or more parties) or when its party count differs
+    from the target's.
     """
     entries = []
     all_convert = True
@@ -229,20 +231,14 @@ def closure_scan(
         label = "not_reacher"
         if reacher:
             any_reacher = True
-            if cand.n_parties == 2 and target_state.n_parties == 2:
-                verdict = compare_bipartite(cand, target_state)
-                converts = verdict.allows_forward()
-                label = "converts" if converts else f"no_conversion({verdict.direction.value})"
-            elif cand.n_parties == target_state.n_parties:
-                verdict = multipartite_check(cand, target_state)
-                if verdict.direction == Direction.INCOMPARABLE:
-                    converts = False
-                    label = "no_conversion(Incomparable)"
-                else:
-                    converts = None
-                    label = "conversion_undecided"
-            else:
+            if cand.n_parties == target_state.n_parties:
+                verdict = compare(cand, target_state)
+                if verdict.direction != Direction.INCONCLUSIVE:
+                    converts = verdict.allows_forward()
+            if converts is None:
                 label = "conversion_undecided"
+            else:
+                label = "converts" if converts else f"no_conversion({verdict.direction.value})"
             if converts is not True:
                 all_convert = False
         entries.append(CandidateReport(idx, result.value, reacher, converts, label))

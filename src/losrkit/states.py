@@ -24,6 +24,9 @@ from . import config
 # Auto-normalization threshold: small drifts are repaired with a warning,
 # anything larger is treated as a malformed input rather than rescaled away.
 NORM_REPAIR_LIMIT = 1e-3
+# Entries per row block of the Hermiticity check, which holds three
+# temporaries of one block's size (2**16 complex entries are 1 MiB).
+_HERM_BLOCK_ENTRIES = 2**16
 
 
 def _as_party_dims(party_dims) -> tuple[int, ...]:
@@ -33,6 +36,17 @@ def _as_party_dims(party_dims) -> tuple[int, ...]:
     if any(d < 1 for d in dims):
         raise ValueError(f"party_dims must be positive, got {dims}")
     return dims
+
+
+def _hermitian_deviation(mat: np.ndarray) -> float:
+    """max |m_ij - conj(m_ji)|, compared in row blocks of bounded size."""
+    n = mat.shape[0]
+    rows = max(1, _HERM_BLOCK_ENTRIES // n)
+    dev = 0.0
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        dev = max(dev, float(np.max(np.abs(mat[block] - mat[:, block].conj().T))))
+    return dev
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,7 @@ class DensityMatrix:
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
         eps = config.current().eps_norm
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        herm_dev = _hermitian_deviation(mat)
         if herm_dev > eps:
             raise ValueError(f"matrix not Hermitian (deviation {herm_dev:.3g})")
         tr_dev = abs(complex(np.trace(mat)) - 1.0)

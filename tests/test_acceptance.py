@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from losrkit import (
     CHSH,
@@ -25,16 +24,13 @@ from losrkit import (
     born_box,
     catalog,
     catalytic_convertible,
-    compare_bipartite,
-    deterministic_vertices,
+    compare,
     factor_spectrum,
-    factor_spectrum_bruteforce,
     flag_roundtrip_check,
     forward_channel,
     hardy_grid_maximum,
     horodecki_chsh,
     local_membership,
-    multipartite_check,
     optimize_yield,
     sample_losr_channel,
     schmidt_spectrum,
@@ -43,6 +39,7 @@ from losrkit import (
 from losrkit.preorder import Direction, Reason, SchmidtSpectrum
 from losrkit.selftest import conjugate_state
 from conftest import random_density, random_unitary
+from oracles import deterministic_vertices, factor_spectrum_bruteforce
 
 
 @contextmanager
@@ -94,7 +91,7 @@ def test_criterion_02_chiral_spectra_and_insufficiency():
         for beta in all_bipartitions(3):
             got = schmidt_spectrum(psi, beta).truncated()
             assert np.max(np.abs(got - np.array([hi, lo]))) <= 1e-9
-        verdict = multipartite_check(psi, conjugate_state(psi))
+        verdict = compare(psi, conjugate_state(psi))
         assert verdict.direction == Direction.INCONCLUSIVE
         assert verdict.reason == Reason.NECESSARY_PASSED_ONLY
 
@@ -103,9 +100,9 @@ def test_criterion_03_bipartite_incomparability():
     with criterion(3, "phi+ vs partial(theta) incomparable; max(4) -> phi+ with witness (1/2,1/2)"):
         phi = catalog.phi_plus()
         for theta in np.linspace(0.03, np.pi / 4 - 0.03, 20):
-            v = compare_bipartite(phi, catalog.partial(float(theta)))
+            v = compare(phi, catalog.partial(float(theta)))
             assert v.direction == Direction.INCOMPARABLE
-        v = compare_bipartite(catalog.max_entangled(4), phi)
+        v = compare(catalog.max_entangled(4), phi)
         assert v.direction == Direction.PSI_TO_PHI_ONLY
         (beta, zeta), = v.witness
         assert np.max(np.abs(zeta.values - np.array([0.5, 0.5]))) <= 1e-9
@@ -114,12 +111,12 @@ def test_criterion_03_bipartite_incomparability():
 def test_criterion_04_ghz_two_bell_incomparability():
     with criterion(4, "GHZ/2Bell incomparable: rank-ratio and marginal-contradiction blocks"):
         start = time.perf_counter()
-        v = multipartite_check(catalog.ghz(), catalog.two_bell())
+        v = compare(catalog.ghz(), catalog.two_bell())
         assert v.direction == Direction.INCOMPARABLE
         assert v.forward.reason == Reason.RANK_RATIO_NON_INTEGER
         assert v.forward.blocked_at.label() == "A|BC"
         assert v.backward.reason == Reason.MARGINAL_CONTRADICTION
-        ranks = sorted(v.backward.zeta_ranks().values())
+        ranks = sorted(z.rank() for _, z in v.backward.zetas)
         assert ranks == [1, 1, 2]
         assert time.perf_counter() - start < 1.0
 
@@ -169,7 +166,7 @@ def test_criterion_06_catalysis_no_go():
                 psi = catalog.state_with_spectrum(random_spectrum(rng, ranks[0]))
                 phi = catalog.state_with_spectrum(random_spectrum(rng, ranks[1]))
             chi = catalog.state_with_spectrum(random_spectrum(rng, max(2, int(ranks[2]))))
-            plain = compare_bipartite(psi, phi).allows_forward()
+            plain = compare(psi, phi).allows_forward()
             assert catalytic_convertible(psi, phi, chi) == plain, f"counterexample at {t}"
             convertible += int(plain)
         assert convertible > 100
@@ -196,7 +193,6 @@ def test_criterion_07_chsh_yield():
         assert time.perf_counter() - start < 120.0
 
 
-@pytest.mark.slow
 def test_criterion_08_hardy_anomaly():
     with criterion(8, "Hardy: zero on phi+, grid max near 0.09017 via independent oracle"):
         res = optimize_yield(catalog.phi_plus(), HardyScore(), restarts=32, seed=888)
@@ -249,7 +245,6 @@ def test_criterion_10_flag_selftesting():
         assert saw_factorized
 
 
-@pytest.mark.slow
 def test_criterion_11_monotonicity():
     with criterion(11, "no monotonicity violation beyond 5e-4 over 100 channels x 3 states x 3 functionals"):
         start = time.perf_counter()

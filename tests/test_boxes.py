@@ -11,7 +11,6 @@ from losrkit import (
     TiltedCHSH,
     born_box,
     catalog,
-    deterministic_vertices,
     is_no_signaling,
     load_box,
     local_membership,
@@ -19,6 +18,8 @@ from losrkit import (
     save_box,
     uniform_box,
 )
+from losrkit.boxes import _vertex_matrix
+from oracles import deterministic_vertices
 
 
 def signaling_box():
@@ -71,12 +72,19 @@ class TestVertices:
         assert len(deterministic_vertices((2, 2, 2), (2, 2, 2))) == 64
         assert len(deterministic_vertices((1,), (5,))) == 5
 
+    def test_lp_rows_match_oracle_in_order(self):
+        for settings, outcomes in (((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((1,), (5,))):
+            rows = _vertex_matrix(settings, outcomes)
+            oracle = np.array([v.table.reshape(-1) for v in deterministic_vertices(settings, outcomes)])
+            np.testing.assert_array_equal(rows[:, :-1], oracle)
+            np.testing.assert_array_equal(rows[:, -1], -1.0)
+
     def test_oversize_rejected(self):
         # (2,)*9/(2,)*9 has 262,144 vertices of 262,144 entries: the cap must
         # refuse it before anything is allocated.
         for settings, outcomes in (((8, 8), (8, 8)), ((2,) * 9, (2,) * 9)):
             with pytest.raises(ValueError):
-                deterministic_vertices(settings, outcomes)
+                _vertex_matrix(settings, outcomes)
             with pytest.raises(ValueError):
                 local_membership(uniform_box(settings, outcomes))
 

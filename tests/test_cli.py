@@ -1,9 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from losrkit import (
     Bipartition,
     Box,
+    PureState,
     Tolerances,
     catalog,
     config,
@@ -13,6 +16,8 @@ from losrkit import (
     uniform_box,
 )
 from losrkit.cli import main
+from losrkit.selftest import conjugate_state
+from conftest import random_pure, random_unitary
 
 
 def run(capsys, *argv):
@@ -143,6 +148,45 @@ class TestMultiCheck:
     def test_rejects_bipartite(self, capsys):
         code, _, err = run(capsys, "multi-check", "phi_plus", "phi_plus")
         assert code == 2
+
+    @pytest.mark.parametrize("pair", ["two_bell ghz", "chiral conjugate", "four_party lu_copy"])
+    def test_same_records_as_compare(self, capsys, tmp_path, rng, pair):
+        if pair == "chiral conjugate":
+            path = tmp_path / "conj.txt"
+            save_state(path, conjugate_state(catalog.chiral()))
+            names = ["chiral", str(path)]
+        elif pair == "four_party lu_copy":
+            psi = random_pure(rng, (2, 2, 2, 2))
+            u = reduce(np.kron, [random_unitary(rng, 2) for _ in range(4)])
+            names = [str(tmp_path / "psi.txt"), str(tmp_path / "phi.txt")]
+            save_state(names[0], psi)
+            save_state(names[1], PureState((2, 2, 2, 2), u @ psi.amplitudes))
+        else:
+            names = pair.split()
+        outs = []
+        for command in ("compare", "multi-check"):
+            code, out, err = run(capsys, "--long", command, *names)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[0] in (
+            "Incomparable MarginalContradiction",
+            "Inconclusive NecessaryPassedOnly",
+        )
+
+    def test_party_count_errors_exit_two(self, capsys, tmp_path):
+        single = tmp_path / "single.txt"
+        save_state(single, PureState((2,), np.array([0.6, 0.8])))
+        for argv in (
+            ["multi-check", "phi_plus", "phi_plus"],
+            ["compare", "phi_plus", "ghz"],
+            ["compare", str(single), str(single)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestBoxCommands:

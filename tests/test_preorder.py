@@ -13,10 +13,8 @@ from losrkit import (
     SchmidtSpectrum,
     catalog,
     catalytic_convertible,
-    compare_bipartite,
+    compare,
     factor_spectrum,
-    factor_spectrum_bruteforce,
-    multipartite_check,
     rank_ratio_admissible,
     schmidt_spectrum,
     spectra_equal,
@@ -24,6 +22,7 @@ from losrkit import (
 )
 from losrkit.selftest import conjugate_state
 from conftest import majorizes, random_pure, random_unitary
+from oracles import factor_spectrum_bruteforce
 
 AB = Bipartition(frozenset({0}), 2)
 
@@ -130,13 +129,13 @@ class TestFactorSpectrum:
 
 class TestCompareBipartite:
     def test_max_vs_partial_incomparable(self):
-        v = compare_bipartite(catalog.phi_plus(), catalog.partial(np.pi / 8))
+        v = compare(catalog.phi_plus(), catalog.partial(np.pi / 8))
         assert v.direction == Direction.INCOMPARABLE
         assert v.reason == Reason.DECIDED
         assert v.witness is None
 
     def test_max4_to_bell(self):
-        v = compare_bipartite(catalog.max_entangled(4), catalog.phi_plus())
+        v = compare(catalog.max_entangled(4), catalog.phi_plus())
         assert v.direction == Direction.PSI_TO_PHI_ONLY
         assert v.allows_forward()
         (beta, zeta), = v.witness
@@ -145,11 +144,7 @@ class TestCompareBipartite:
     def test_global_phase_equivalent(self, rng):
         psi = random_pure(rng, (2, 2))
         phase = PureState((2, 2), np.exp(1j * 0.7) * psi.amplitudes)
-        assert compare_bipartite(psi, phase).direction == Direction.EQUIVALENT
-
-    def test_rejects_multipartite(self):
-        with pytest.raises(ValueError, match="multipartite_check"):
-            compare_bipartite(catalog.ghz(), catalog.ghz())
+        assert compare(psi, phase).direction == Direction.EQUIVALENT
 
     def test_equal_rank_trichotomy(self, rng):
         # states of equal Schmidt rank are equivalent or incomparable, never
@@ -158,7 +153,7 @@ class TestCompareBipartite:
             r = int(rng.integers(2, 5))
             psi = catalog.state_with_spectrum(random_spectrum(rng, r))
             phi = catalog.state_with_spectrum(random_spectrum(rng, r))
-            v = compare_bipartite(psi, phi)
+            v = compare(psi, phi)
             assert v.direction in (Direction.EQUIVALENT, Direction.INCOMPARABLE)
 
     def test_losr_implies_locc_majorization(self, rng):
@@ -170,7 +165,7 @@ class TestCompareBipartite:
             zeta_s = random_spectrum(rng, int(rng.integers(1, 4)))
             psi = catalog.state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
             phi = catalog.state_with_spectrum(phi_s)
-            v = compare_bipartite(psi, phi)
+            v = compare(psi, phi)
             if v.allows_forward():
                 seen_convertible += 1
                 l_psi = schmidt_spectrum(psi, AB).truncated()
@@ -181,50 +176,53 @@ class TestCompareBipartite:
 
 class TestMultipartite:
     def test_ghz_vs_two_bell(self):
-        v = multipartite_check(catalog.ghz(), catalog.two_bell())
+        v = compare(catalog.ghz(), catalog.two_bell())
         assert v.direction == Direction.INCOMPARABLE
         assert v.forward.reason == Reason.RANK_RATIO_NON_INTEGER
         assert v.forward.blocked_at.label() == "A|BC"
         assert v.backward.reason == Reason.MARGINAL_CONTRADICTION
 
     def test_two_bell_vs_ghz_symmetric(self):
-        v = multipartite_check(catalog.two_bell(), catalog.ghz())
+        v = compare(catalog.two_bell(), catalog.ghz())
         assert v.direction == Direction.INCOMPARABLE
         assert v.forward.reason == Reason.MARGINAL_CONTRADICTION
         assert v.backward.reason == Reason.RANK_RATIO_NON_INTEGER
         # the contradiction stems from required auxiliary ranks ((1/2,1/2),(1),(1))
-        ranks = v.forward.zeta_ranks()
-        assert sorted(ranks.values()) == [1, 1, 2]
+        ranks = [z.rank() for _, z in v.forward.zetas]
+        assert sorted(ranks) == [1, 1, 2]
 
     def test_same_state_necessary_passed_only(self):
-        v = multipartite_check(catalog.ghz(), catalog.ghz())
+        v = compare(catalog.ghz(), catalog.ghz())
         assert v.direction == Direction.INCONCLUSIVE
         assert v.reason == Reason.NECESSARY_PASSED_ONLY
         assert all(np.allclose(z.values, [1.0]) for _, z in v.witness)
 
     def test_chiral_vs_conjugate_inconclusive(self):
         psi = catalog.chiral()
-        v = multipartite_check(psi, conjugate_state(psi))
+        v = compare(psi, conjugate_state(psi))
         assert v.direction == Direction.INCONCLUSIVE
         assert v.reason == Reason.NECESSARY_PASSED_ONLY
 
     def test_party_count_mismatch(self):
         with pytest.raises(ValueError):
-            multipartite_check(catalog.ghz(), catalog.phi_plus())
+            compare(catalog.ghz(), catalog.phi_plus())
 
-    def test_bipartite_rejected(self):
-        with pytest.raises(ValueError, match="compare_bipartite"):
-            multipartite_check(catalog.phi_plus(), catalog.phi_plus())
+    def test_rejects_mismatched_or_single_party(self):
+        with pytest.raises(ValueError, match="same number of parties"):
+            compare(catalog.phi_plus(), catalog.ghz())
+        single = PureState((2,), np.array([0.6, 0.8]))
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            compare(single, single)
 
     def test_never_equivalent(self, rng):
         psi = random_pure(rng, (2, 2, 2))
-        v = multipartite_check(psi, psi)
+        v = compare(psi, psi)
         assert v.direction != Direction.EQUIVALENT
 
     def test_four_parties_local_unitary_copy_inconclusive(self, rng):
         psi = random_pure(rng, (2, 2, 2, 2))
         u = reduce(np.kron, [random_unitary(rng, 2) for _ in range(4)])
-        v = multipartite_check(psi, PureState((2, 2, 2, 2), u @ psi.amplitudes))
+        v = compare(psi, PureState((2, 2, 2, 2), u @ psi.amplitudes))
         assert (v.direction, v.reason) == (Direction.INCONCLUSIVE, Reason.NECESSARY_PASSED_ONLY)
         assert len(v.witness) == 7
         assert v.forward.reason == v.backward.reason == Reason.NECESSARY_PASSED_ONLY
@@ -232,7 +230,7 @@ class TestMultipartite:
     def test_four_parties_independent_states_incomparable(self, rng):
         psi = random_pure(rng, (2, 2, 2, 2))
         phi = random_pure(rng, (2, 2, 2, 2))
-        v = multipartite_check(psi, phi)
+        v = compare(psi, phi)
         assert v.direction == Direction.INCOMPARABLE
         assert v.forward.ruled_out and v.backward.ruled_out
 
@@ -244,7 +242,7 @@ class TestCatalysis:
         psi = catalog.state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
         phi = catalog.state_with_spectrum(phi_s)
         chi = catalog.state_with_spectrum(random_spectrum(rng, 3))
-        assert compare_bipartite(psi, phi).allows_forward()
+        assert compare(psi, phi).allows_forward()
         assert catalytic_convertible(psi, phi, chi)
 
     def test_max_vs_partial_never_catalyzed(self, rng):
@@ -272,7 +270,7 @@ class TestCatalysis:
                 psi = catalog.state_with_spectrum(random_spectrum(rng, ranks[0]))
                 phi = catalog.state_with_spectrum(random_spectrum(rng, ranks[1]))
             chi = catalog.state_with_spectrum(random_spectrum(rng, max(2, ranks[2])))
-            assert catalytic_convertible(psi, phi, chi) == compare_bipartite(psi, phi).allows_forward()
+            assert catalytic_convertible(psi, phi, chi) == compare(psi, phi).allows_forward()
 
     def test_rejects_multipartite(self):
         with pytest.raises(ValueError):
@@ -281,18 +279,18 @@ class TestCatalysis:
 
 class TestSerialization:
     def test_directional_verdict(self):
-        v = compare_bipartite(catalog.max_entangled(4), catalog.phi_plus())
+        v = compare(catalog.max_entangled(4), catalog.phi_plus())
         text = verdict_to_text(v)
         lines = text.splitlines()
         assert lines[0] == "PsiToPhiOnly Decided"
         assert lines[1].startswith("A|B: 0.5 0.5")
 
     def test_incomparable_with_reason(self):
-        v = multipartite_check(catalog.ghz(), catalog.two_bell())
+        v = compare(catalog.ghz(), catalog.two_bell())
         text = verdict_to_text(v, long=True)
         assert text.splitlines()[0] == "Incomparable RankRatioNonInteger"
         assert "MarginalContradiction" in text
 
     def test_equivalent(self):
-        v = compare_bipartite(catalog.phi_plus(), catalog.phi_plus())
+        v = compare(catalog.phi_plus(), catalog.phi_plus())
         assert verdict_to_text(v).splitlines()[0] == "Equivalent Decided"

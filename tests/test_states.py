@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,10 @@ from losrkit import (
     schmidt_spectrum,
     tensor_product,
 )
+from losrkit import states
 from conftest import random_density, random_pure, random_unitary
+
+ROOT = Path(__file__).resolve().parents[1]
 
 AB = Bipartition(frozenset({0}), 2)
 
@@ -79,6 +87,45 @@ class TestConstruction:
         m[0, 1] = m[1, 0] = 0.01  # smallest eigenvalue about -0.008
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix((512,), m)
+
+    @pytest.mark.parametrize("where", ["last_block", "block_boundary"])
+    def test_asymmetric_entry_rejected_in_any_row_block(self, where):
+        n = 500
+        rows = states._HERM_BLOCK_ENTRIES // n
+        assert 1 < rows < n and n % rows  # several row blocks, the last one short
+        m = np.eye(n, dtype=complex) / n
+        i, j = (n - 1, n - 2) if where == "last_block" else (rows, rows - 1)
+        m[i, j] = 1e-3  # the mirror entry m[j, i] stays 0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix((n,), m)
+
+    def test_hermiticity_check_memory_bounded(self):
+        # ru_maxrss is a high-water mark: the input is built without
+        # temporaries and every page is written before the baseline reading.
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from losrkit import DensityMatrix
+
+            DensityMatrix((2,), np.eye(2) / 2)
+            n = 2048
+            m = np.empty((n, n), dtype=complex)
+            m.fill(0)
+            m[np.diag_indices(n)] = 1 / n
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            DensityMatrix((n,), m)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / m.nbytes)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 1.3
 
     def test_spectrum_invariants(self):
         spec = SchmidtSpectrum(np.array([0.25, 0.5, 0.25]))
