@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Tolerances are pinned here
 and nowhere else; expected values marked as derived are recomputed by the
-independent oracles in this file rather than trusted.
+independent oracles in this file and in `oracles.py` rather than trusted.
 """
 
 import time

@@ -133,7 +133,7 @@ class TestLocalMembership:
             assert isinstance(res, LocalModel)
             assert len(calls) == 1
             assert res.reconstruction_error <= 1e-8
-            # the weights index the public vertex order
+            # the weights index the oracle's vertex order
             recon = sum(wi * v.table for wi, v in zip(res.weights, verts))
             assert np.max(np.abs(recon - table)) <= 1e-8
 
