@@ -146,6 +146,12 @@ class TestCompareBipartite:
         phase = PureState((2, 2), np.exp(1j * 0.7) * psi.amplitudes)
         assert compare(psi, phase).direction == Direction.EQUIVALENT
 
+    def test_rejects_multipartite(self):
+        # a bipartite state is never compared with a multipartite one
+        for phi in (catalog.ghz(), catalog.two_bell()):
+            with pytest.raises(ValueError, match="same number of parties"):
+                compare(catalog.phi_plus(), phi)
+
     def test_equal_rank_trichotomy(self, rng):
         # states of equal Schmidt rank are equivalent or incomparable, never
         # strictly ordered
@@ -207,9 +213,13 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             compare(catalog.ghz(), catalog.phi_plus())
 
-    def test_rejects_mismatched_or_single_party(self):
-        with pytest.raises(ValueError, match="same number of parties"):
-            compare(catalog.phi_plus(), catalog.ghz())
+    def test_bipartite_rejected(self):
+        # a multipartite state is never compared with a bipartite one
+        for phi in (catalog.phi_plus(), catalog.partial(np.pi / 8), catalog.max_entangled(4)):
+            with pytest.raises(ValueError, match="same number of parties"):
+                compare(catalog.ghz(), phi)
+
+    def test_rejects_single_party(self):
         single = PureState((2,), np.array([0.6, 0.8]))
         with pytest.raises(ValueError, match="at least 2 parties"):
             compare(single, single)
