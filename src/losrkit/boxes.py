@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import config
 
@@ -145,6 +144,14 @@ class NonlocalCertificate:
     @property
     def margin(self) -> float:
         return self.value - self.local_bound
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only
+    ``local_membership`` solves an LP, so no other path loads scipy.optimize."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def local_membership(b: Box) -> LocalModel | NonlocalCertificate:

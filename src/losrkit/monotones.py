@@ -307,6 +307,12 @@ def sample_losr_channel(dims, seed: int) -> LocalChannelFamily:
 # closed-form yield is checked by the test suite.
 
 
+# Entries per row block of the Hardy sign grid.  Each block's float64
+# temporaries stay under 128 KiB, glibc's initial mmap threshold, so they
+# reuse heap pages instead of being mapped and faulted in afresh each pass.
+_HARDY_BLOCK_ENTRIES = 2**14 - 1
+
+
 def _hardy_third_constraint(ct: float, st: float, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     a1 = np.arctan2(-ct * np.cos(b0), st * np.sin(b0))
     return ct * np.sin(a1) * np.sin(b1) + st * np.cos(a1) * np.cos(b1)
@@ -325,6 +331,7 @@ def hardy_grid_maximum(
     """
     a0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, a0_points)
     b0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, b0_points)
+    rows = max(1, _HARDY_BLOCK_ENTRIES // max(b0_points, 1))
     best = 0.0
     arg = (0.0, 0.0, 0.0)
     for t in np.asarray(theta_grid, dtype=float):
@@ -332,12 +339,16 @@ def hardy_grid_maximum(
         if abs(st) < 1e-12 or abs(ct) < 1e-12:
             continue
         b1_grid = np.arctan2(-ct * np.cos(a0_grid), st * np.sin(a0_grid))
-        g = _hardy_third_constraint(ct, st, b0_grid, b1_grid[:, None])
-        ia, ib = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+        blocks = []
+        for r in range(0, max(a0_points, 1), rows):
+            g = _hardy_third_constraint(ct, st, b0_grid, b1_grid[r : r + rows, None])
+            a, b = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+            blocks.append((a + r, b, g[a, b]))
+        ia, ib, glo = (np.concatenate(x) for x in zip(*blocks))
         if ia.size == 0:
             continue
         a0, b1 = a0_grid[ia], b1_grid[ia]
-        lo, hi, glo = b0_grid[ib], b0_grid[ib + 1], g[ia, ib]
+        lo, hi = b0_grid[ib], b0_grid[ib + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             gm = _hardy_third_constraint(ct, st, mid, b1)

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import config
 
@@ -122,6 +121,9 @@ class DensityMatrix:
         # PSD within eps at every size: Cholesky of one shifted copy, factored in
         # place (the transpose is Fortran-ordered and, for a Hermitian matrix,
         # the conjugate, of equal spectrum); eigvalsh only names a failure.
+        # scipy.linalg is imported here, so pure-state paths never load it.
+        from scipy.linalg import lapack
+
         shifted = mat.T.copy(order="F")
         shifted[np.diag_indices(total)] += eps
         if lapack.zpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] != 0:

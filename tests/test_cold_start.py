@@ -1,0 +1,108 @@
+"""What a fresh interpreter loads, and what its first calls return.
+
+scipy.optimize is imported by the first LP solve and scipy.linalg by the
+first density matrix, so each check runs in its own interpreter: this
+suite's process has loaded both long before any test runs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(script: str) -> dict:
+    """Run ``script`` in a new interpreter and parse the JSON of its last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyLoadedOnDemand:
+    def test_each_path_loads_only_its_scipy_module(self):
+        seen = run_fresh(
+            """
+            import contextlib, io, json, sys
+
+            def loaded():
+                return [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+
+            seen = {}
+            import losrkit, losrkit.cli
+            from losrkit import CHSH, catalog, optimize_yield
+            seen["import"] = loaded()
+            with contextlib.redirect_stdout(io.StringIO()):
+                losrkit.cli.main(["schmidt", "two_bell", "A|BC"])
+                seen["schmidt"] = loaded()
+                losrkit.cli.main(["compare", "phi_plus", "partial(0.3)"])
+                seen["compare"] = loaded()
+                optimize_yield(catalog.phi_plus(), CHSH())
+                seen["yield"] = loaded()
+                losrkit.cli.main(["box-local", "pr_box"])
+                seen["box-local"] = loaded()
+            print(json.dumps(seen))
+            """
+        )
+        assert seen == {
+            "import": [],
+            "schmidt": [],
+            "compare": [],
+            "yield": ["scipy.linalg"],
+            "box-local": ["scipy.optimize", "scipy.linalg"],
+        }
+
+
+class TestFirstCallsInFreshProcess:
+    def test_first_density_matrix_still_checks_psd(self):
+        seen = run_fresh(
+            """
+            import json, sys
+            import numpy as np
+            from losrkit import DensityMatrix
+
+            before = "scipy.linalg" in sys.modules
+            try:
+                DensityMatrix((2,), np.diag([1.5, -0.5]))
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            print(json.dumps({"before": before, "error": error, "after": "scipy.linalg" in sys.modules}))
+            """
+        )
+        assert not seen["before"]
+        assert seen["error"] is not None and "negative eigenvalue" in seen["error"]
+        assert seen["after"]
+
+    def test_first_local_membership_matches_second(self):
+        seen = run_fresh(
+            """
+            import json, sys
+            from losrkit import catalog, local_membership, mix_boxes, uniform_box
+
+            box = mix_boxes(catalog.tsirelson_box(), uniform_box((2, 2), (2, 2)), 0.5)
+            before = "scipy.optimize" in sys.modules
+            first, second = local_membership(box), local_membership(box)
+            print(json.dumps({
+                "before": before,
+                "kinds": [type(first).__name__, type(second).__name__],
+                "errors": [first.reconstruction_error, second.reconstruction_error],
+                "weights": [first.weights.tolist(), second.weights.tolist()],
+            }))
+            """
+        )
+        assert not seen["before"]
+        assert seen["kinds"] == ["LocalModel", "LocalModel"]
+        assert seen["errors"][0] == seen["errors"][1]
+        assert seen["weights"][0] == seen["weights"][1]

@@ -372,6 +372,14 @@ class TestHardyGridOracle:
         assert 0.085 <= best <= 0.0902
         assert 0.38 <= theta <= 0.50
 
+    @pytest.mark.parametrize("entries", [1, 241 * 7, 10**9])
+    def test_row_blocks_give_the_same_maximum(self, monkeypatch, entries):
+        # one row per block, blocks ending on a row boundary, and one block
+        thetas = [0.2, 0.4387, 0.9]
+        expected = [hardy_grid_maximum([t]) for t in thetas]
+        monkeypatch.setattr("losrkit.monotones._HARDY_BLOCK_ENTRIES", entries)
+        assert [hardy_grid_maximum([t]) for t in thetas] == expected
+
 
 class TestAnomalyOrdering:
     def test_partial_beats_max_on_hardy_but_not_on_chsh(self):
