@@ -14,8 +14,11 @@ Linear functionals are optimized by a coordinate-ascent see-saw over parties
 (closed-form Bloch updates), and the best restart is the answer.  The
 functional and the state's Pauli tensor form one tensor with an axis per
 party, so a party's field is a chain of matrix products, and every restart
-is swept in one batch until it stalls on its own.  The Hardy score needs no
-search: the three zero constraints fix every direction once A's setting-1
+is swept in one batch until it stalls on its own.  The Born vectors of the
+running restarts stay in one array that each update writes in place, party
+0's field both scores a sweep and starts the next one, and the batch is
+compacted only on a sweep where some restart stalls.  The Hardy score needs
+no search: the three zero constraints fix every direction once A's setting-1
 ket is chosen, and Hardy's closed-form argmax gives that ket from the SVD of
 the state's amplitude matrix.  The see-saw's score and the reported box
 come from one Born-rule map of the Bloch vectors.  Each restart's value is
@@ -44,6 +47,10 @@ _SET, _OUT, _PAU = "ijk", "abc", "uvw"
 
 _SEESAW_MAX_SWEEPS = 500
 _SEESAW_FTOL = 1e-10
+# Most restarts ``optimize_yield`` accepts.  A three-party see-saw holds a
+# few KB per running restart, so the cap bounds its working set to tens of
+# megabytes; larger requests are refused before anything is allocated.
+_MAX_RESTARTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -130,22 +137,6 @@ def _functional_tensor(coeffs: np.ndarray, E: np.ndarray) -> np.ndarray:
     return K.reshape([coeffs.shape[p] * coeffs.shape[n + p] * 4 for p in range(n)])
 
 
-def _party_field(K: np.ndarray, us: np.ndarray, q: int) -> np.ndarray:
-    """W[..., :]: the functional's linear coefficients on party q's u-vector,
-    K contracted with every other party's, one matrix product per party."""
-    order = list(range(K.ndim))
-    order[0], order[q] = q, 0
-    w = K.transpose(order).reshape(-1)
-    for p in reversed(order[1:]):
-        w = (w.reshape(w.shape[:-1] + (-1, K.shape[p])) @ us[..., p, :, None])[..., 0]
-    return w
-
-
-def _value(K: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """The functional's value, per leading batch index of ``us``."""
-    return np.sum(_party_field(K, us, 0) * us[..., 0, :], axis=-1)
-
-
 def _seesaw_linear(K: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin closed-form Bloch updates of every restart at once.
 
@@ -154,23 +145,55 @@ def _seesaw_linear(K: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndar
     than ``_SEESAW_FTOL``) or after ``_SEESAW_MAX_SWEEPS``; only the
     restarts still running are swept.  A setting whose field vanishes keeps
     its direction.  Returns the per-restart values and ``vecs``.
+
+    Party q's field is K contracted with every other party's Born vector,
+    one stacked matrix product per party, from K transposed once per call
+    to put q's axis first.  The running restarts' Born vectors live in one
+    array that each update writes in place, and the batch is compacted only
+    on a sweep where some restart stalls.  Party 0's field at the end of a
+    sweep both scores it and drives the next sweep's first update.  A
+    restart's arithmetic does not depend on which others share its batch.
     """
-    value = _value(K, _u_arrays(vecs))
+    n, s = K.ndim, vecs.shape[2]
+    chains = []
+    for q in range(n):
+        order = list(range(n))
+        order[0], order[q] = q, 0
+        chains.append((K.transpose(order).reshape(-1), order[:0:-1]))
+
+    def field(q, u):
+        w, parties = chains[q]
+        for p in parties:
+            w = (w.reshape(w.shape[:-1] + (-1, K.shape[p])) @ u[:, p, :, None])[..., 0]
+        return w
+
+    u = _u_arrays(vecs)
+    born = u.reshape(len(u), n, s, 2, 4)
+    w0 = field(0, u)
+    value = np.sum(w0 * u[:, 0], axis=-1)
+    current = value
     run = np.arange(len(vecs))
     for _ in range(_SEESAW_MAX_SWEEPS):
-        v = vecs[run]
-        for q in range(v.shape[1]):
-            W = _party_field(K, _u_arrays(v), q).reshape(v.shape[0], -1, 2, 4)
+        for q in range(n):
+            W = (w0 if q == 0 else field(q, u)).reshape(len(run), s, 2, 4)
             g = W[..., 0, 1:] - W[..., 1, 1:]
-            nrm = np.linalg.norm(g, axis=-1, keepdims=True)
-            np.divide(g, nrm, out=v[:, q], where=nrm > 1e-15)
-        new = _value(K, _u_arrays(v))
-        vecs[run] = v
-        stalled = new - value[run] < _SEESAW_FTOL
-        value[run] = np.where(stalled, np.maximum(value[run], new), new)
-        run = run[~stalled]
+            nrm = np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))
+            np.divide(g, nrm, out=born[:, q, :, 0, 1:], where=nrm > 1e-15)
+            np.negative(born[:, q, :, 0, 1:], out=born[:, q, :, 1, 1:])
+        w0 = field(0, u)
+        new = np.sum(w0 * u[:, 0], axis=-1)
+        stalled = new - current < _SEESAW_FTOL
+        if stalled.any():
+            value[run[stalled]] = np.maximum(current[stalled], new[stalled])
+            vecs[run[stalled]] = born[stalled, ..., 0, 1:]
+            keep = ~stalled
+            run, u, w0, new = run[keep], u[keep], w0[keep], new[keep]
+            born = u.reshape(len(run), n, s, 2, 4)
+        current = new
         if run.size == 0:
             break
+    value[run] = current
+    vecs[run] = born[..., 0, 1:]
     return value, vecs
 
 
@@ -238,14 +261,15 @@ def optimize_yield(
     Linear functionals take the best of ``restarts`` see-saw runs from
     seeded random starts; ties resolve to the lowest index.  The Hardy yield
     is built in closed form and uses neither ``restarts`` nor ``seed``; both
-    are still echoed in the result.  The reported value is recomputed from
-    the Born-rule box of the returned measurement family, so it matches
-    ``f.evaluate(born_box(state, argmax))`` by construction.
+    are still echoed in the result, and ``restarts`` must lie in
+    [1, ``_MAX_RESTARTS``] for every functional.  The reported value is
+    recomputed from the Born-rule box of the returned measurement family, so
+    it matches ``f.evaluate(born_box(state, argmax))`` by construction.
     """
+    if not 1 <= restarts <= _MAX_RESTARTS:
+        raise ValueError(f"restarts must be in [1, {_MAX_RESTARTS}], got {restarts}")
     if isinstance(state, PureState):
         state = state.density()
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     coeffs = None if isinstance(f, HardyScore) else f.coefficients()
     n = 2 if coeffs is None else coeffs.ndim // 2
     if state.n_parties != n or any(d != 2 for d in state.party_dims):

@@ -219,8 +219,13 @@ def closure_scan(
     undershoot a quantum value but not exceed it.  A reacher's conversion is
     undecided when ``compare`` is Inconclusive (the spectrum test is
     necessary only for three or more parties) or when its party count differs
-    from the target's.
+    from the target's.  ``target_value`` must be finite and ``tol`` finite
+    and >= 0; a NaN threshold would make every candidate a non-reacher.
     """
+    if not np.isfinite(target_value):
+        raise ValueError(f"target_value must be finite, got {target_value}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     entries = []
     all_convert = True
     any_reacher = False

@@ -285,6 +285,35 @@ class TestYield:
         for row, want in zip(got, expected):
             assert row == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["yield", "max_entangled(2)", "chsh"], (
+                "2.828427125 32 0\n"
+                "party 0: 2.683327811 -2.583528525 1.792068631 -0.5392009233\n"
+                "party 1: 2.480526383 1.009829095 2.070264842 -2.925104061\n"
+            )),
+            (["--seed", "5", "yield", "ghz", "mermin"], (
+                "1 32 5\n"
+                "party 0: 1.570796327 -0.1001238934 1.570796327 1.470672433\n"
+                "party 1: 1.570796327 -1.787149859 1.570796327 -0.2163535318\n"
+                "party 2: 1.570796327 1.887273752 1.570796327 -2.825115228\n"
+            )),
+            (["--restarts", "6", "--seed", "3", "yield", "max_entangled(2)", "tilted", "--alpha", "0.7"], (
+                "2.828427125 6 3\n"
+                "party 0: 0.09035709657 1.874132187 1.617688397 2.900498675\n"
+                "party 1: 0.8351362952 -2.826812761 0.741631106 0.1602047425\n"
+            )),
+        ],
+        ids=["max_entangled_chsh", "ghz_mermin_seed5", "max_entangled_tilted"],
+    )
+    def test_tied_restarts_pinned(self, capsys, argv, expected):
+        # Several restarts reach the optimum here, so which one is printed
+        # hangs on the last bit of each restart's value.
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")
         _, out2, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")
@@ -357,6 +386,11 @@ MALFORMED = [
     (["--tau-rank", "0.9", "compare", "phi_plus", "partial(0.3)"], ["tau_rank 0.9", "largest 0.5"]),
     (["compare", "max_entangled(2.5)", "phi_plus"], ["'max_entangled(2.5)'"]),
     (["--tau-rank", "0.6", "--long", "schmidt", "phi_plus", "A|B"], ["tau_rank 0.6", "largest 0.5"]),
+    # scan thresholds that are not finite, and restarts over the cap
+    (["selftest-scan", "chsh", "nan", "phi_plus", "phi_plus"], ["target_value", "nan"]),
+    (["selftest-scan", "chsh", "2.8", "phi_plus", "phi_plus", "--tol", "nan"], ["tol", "nan"]),
+    (["selftest-scan", "chsh", "2.8", "phi_plus", "phi_plus", "--tol", "-1"], ["tol", "-1"]),
+    (["--restarts", "1000000000000", "yield", "phi_plus", "chsh"], ["restarts", "1000000000000"]),
 ]
 
 

@@ -21,7 +21,7 @@ from losrkit import (
     pauli_expectations,
     sample_losr_channel,
 )
-from losrkit.monotones import _functional_tensor, _seesaw_linear
+from losrkit.monotones import _MAX_RESTARTS, _functional_tensor, _seesaw_linear
 from conftest import random_density, random_unitary
 
 TSIRELSON = 2 * np.sqrt(2)
@@ -187,6 +187,14 @@ class TestOptimizeYield:
         with pytest.raises(ValueError):
             optimize_yield(catalog.phi_plus(), CHSH(), restarts=0, seed=0)
 
+    def test_restarts_cap(self):
+        # Refused before the starts are drawn: 10**12 restarts would need
+        # terabytes.
+        for f in (CHSH(), HardyScore()):
+            for restarts in (_MAX_RESTARTS + 1, 10**12):
+                with pytest.raises(ValueError, match=f"restarts must be in \\[1, {_MAX_RESTARTS}\\]"):
+                    optimize_yield(catalog.phi_plus(), f, restarts=restarts, seed=0)
+
     def test_to_text_format(self):
         res = optimize_yield(catalog.phi_plus(), CHSH(), restarts=4, seed=2)
         lines = res.to_text().splitlines()
@@ -259,14 +267,21 @@ class TestSeesawBatch:
         for state, f in cases:
             self.check_batch(state, f, random_starts(4, 6, state.n_parties))
 
-    def test_stopped_restarts_stay_frozen(self):
+    @staticmethod
+    def near_maximal_starts():
         # Near maximal entanglement most restarts reach the sweep cap, the
-        # all-z and z/x starts stall after one and two sweeps, and restarts
-        # that stall in between would still move if they were swept on.
+        # all-z and z/x starts stall after one and two sweeps, and the rest
+        # stall in between.
         lam = 0.45
         state = PureState((2, 2), [np.sqrt(1 - lam), 0, 0, np.sqrt(lam)])
         zx = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         starts = np.concatenate([random_starts(1, 8, 2), [np.tile([0.0, 0.0, 1.0], (2, 2, 1)), [zx, zx]]])
+        return state, starts
+
+    def test_stopped_restarts_stay_frozen(self):
+        # Restarts that stall before the sweep cap would still move if they
+        # were swept on.
+        state, starts = self.near_maximal_starts()
         E, coeffs, vecs, sweeps = self.check_batch(state, CHSH(), starts)
         assert sweeps[-2:] == [1, 2] and max(sweeps) == 500
         early = [r for r, k in enumerate(sweeps) if 2 < k < 500]
@@ -274,6 +289,27 @@ class TestSeesawBatch:
         for r in early:
             _, swept_on, _ = seesaw_reference(coeffs, E, starts[r], ftol=-np.inf)
             assert np.max(np.abs(swept_on - vecs[r])) > 1e-12
+
+    def test_restart_alone_matches_its_batch_row(self, rng):
+        # Restarts that stall on different sweeps leave the batch at
+        # different times; none of that may change another restart's bits.
+        cases = [
+            (*self.near_maximal_starts(), CHSH()),
+            (catalog.partial(0.3), random_starts(4, 8, 2), TiltedCHSH(0.25)),
+            (catalog.chiral(), random_starts(5, 8, 3), MerminGHZ()),
+            (random_density(rng, (2, 2, 2)), random_starts(6, 8, 3), MerminGHZ()),
+        ]
+        for state, starts, f in cases:
+            rho = state.density() if isinstance(state, PureState) else state
+            E, coeffs = pauli_expectations(rho), f.coefficients()
+            K = _functional_tensor(coeffs, E)
+            values, vecs = _seesaw_linear(K, starts.copy())
+            sweeps = {seesaw_reference(coeffs, E, start)[2] for start in starts}
+            assert len(sweeps) > 1
+            for r in range(len(starts)):
+                alone_value, alone_vecs = _seesaw_linear(K, starts[r : r + 1].copy())
+                assert np.array_equal(alone_value, values[r : r + 1])
+                assert np.array_equal(alone_vecs, vecs[r : r + 1])
 
     def test_restart_values_in_result(self):
         cases = [

@@ -239,6 +239,27 @@ class TestClosureScan:
         assert report.box_unreachable and report.satisfied
         assert "unreachable" in report.to_text()
 
+    @pytest.mark.parametrize(
+        "target_value, tol, named",
+        [
+            (np.nan, 1e-6, "target_value"),
+            (np.inf, 1e-6, "target_value"),
+            (-np.inf, 1e-6, "target_value"),
+            (2.8, np.nan, "tol"),
+            (2.8, np.inf, "tol"),
+            (2.8, -1e-6, "tol"),
+        ],
+    )
+    def test_threshold_must_be_finite(self, target_value, tol, named):
+        # A NaN threshold would mark no candidate a reacher and report the
+        # condition vacuously satisfied.
+        with pytest.raises(ValueError, match=named):
+            closure_scan(CHSH(), target_value, catalog.phi_plus(), [catalog.phi_plus()], tol=tol, restarts=2)
+
+    def test_zero_tol_accepted(self):
+        report = closure_scan(CHSH(), 2.0, catalog.phi_plus(), [catalog.phi_plus()], tol=0.0, restarts=4)
+        assert report.entries[0].is_reacher and report.satisfied
+
     def test_tol_monotonicity(self):
         candidates = [catalog.phi_plus(), catalog.partial(np.pi / 8), catalog.partial(0.9 * np.pi / 4)]
         small = closure_scan(CHSH(), 2 * np.sqrt(2), catalog.phi_plus(), candidates,
