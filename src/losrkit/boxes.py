@@ -28,6 +28,10 @@ _MARGIN_EPS = 1e-9
 # Entries of the dense membership LP matrix, n_vertices x (table size + 1):
 # 2**25 float64 entries are 256 MiB.
 MAX_LP_ENTRIES = 2**25
+# Largest |alpha| of TiltedCHSH.  Its coefficients add the CHSH part onto
+# alpha/2, so the value's rounding error grows with |alpha|: 2.2e-11 at this
+# cap on the Tsirelson box, 0.11 at 1e15, and by 1e17 the CHSH part is gone.
+MAX_TILT = 1e6
 
 
 @dataclass(frozen=True)
@@ -237,6 +241,8 @@ class TiltedCHSH(_LinearFunctional):
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if abs(self.alpha) > MAX_TILT:
+            raise ValueError(f"|alpha| must be at most {MAX_TILT:g}, got {self.alpha}")
 
     def coefficients(self) -> np.ndarray:
         c = CHSH().coefficients()

@@ -7,6 +7,14 @@ immutable after construction and safe to share across threads.  Constructors
 and rank cutoffs read ``config.current()``: a tolerance override holds for
 the thread or task that made it, and a new thread starts from the defaults.
 
+States derived from a validated state by arithmetic that keeps them valid --
+``PureState.density()`` (the outer product of a unit vector is Hermitian, PSD
+and of trace ||psi||^2) and both branches of ``permute_parties`` and
+``group_parties`` (exact rearrangements of the entries) -- are built without
+re-running the constructor checks.  Every other result (channel outputs,
+partial traces, tensor products, file and literal input) is validated, since
+its validity holds only within tolerances that add up.
+
 Dense eigendecompositions cap the practical total dimension at a few thousand;
 everything here is meant for desk-scale checks, not bulk simulation.
 """
@@ -14,7 +22,7 @@ everything here is meant for desk-scale checks, not bulk simulation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,8 +61,9 @@ class PureState:
     """A pure state as a flat complex amplitude vector over labeled parties.
 
     Amplitudes are row-major over the computational basis of the party
-    dimensions.  Norm deviations below ``NORM_REPAIR_LIMIT`` are repaired
-    (with a warning); larger deviations raise.
+    dimensions.  A squared norm off 1 by more than ``eps_norm`` is repaired
+    (with a warning), so ``density()`` has unit trace within ``eps_norm``;
+    a norm off 1 by more than ``NORM_REPAIR_LIMIT`` raises.
     """
 
     party_dims: tuple[int, ...]
@@ -73,7 +82,7 @@ class PureState:
         dev = abs(nrm - 1.0)
         if dev > NORM_REPAIR_LIMIT:
             raise ValueError(f"state norm {nrm:.6g} too far from 1 to repair")
-        if dev > config.current().eps_norm:
+        if abs(nrm * nrm - 1.0) > config.current().eps_norm:
             warnings.warn(f"renormalizing state (norm deviation {dev:.3g})")
             amp = amp / nrm
         amp.setflags(write=False)
@@ -93,7 +102,7 @@ class PureState:
         return self.amplitudes.reshape(self.party_dims)
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(self.party_dims, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _derived(DensityMatrix, self.party_dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,16 @@ class DensityMatrix:
     @property
     def total_dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _derived(cls, party_dims: tuple[int, ...], data: np.ndarray):
+    """A ``PureState`` or ``DensityMatrix`` over ``data`` that is valid by
+    construction, frozen like the constructor's output but not re-checked."""
+    state = object.__new__(cls)
+    data.setflags(write=False)
+    object.__setattr__(state, "party_dims", party_dims)
+    object.__setattr__(state, fields(cls)[1].name, data)
+    return state
 
 
 @dataclass(frozen=True)
@@ -335,12 +354,12 @@ def permute_parties(state, perm) -> PureState | DensityMatrix:
     new_dims = tuple(state.party_dims[p] for p in perm)
     if isinstance(state, PureState):
         t = state.tensor().transpose(perm)
-        return PureState(new_dims, t.reshape(-1))
+        return _derived(PureState, new_dims, t.reshape(-1))
     n = state.n_parties
     t = state.matrix.reshape(state.party_dims * 2)
     t = t.transpose(tuple(perm) + tuple(n + p for p in perm))
     total = int(np.prod(new_dims))
-    return DensityMatrix(new_dims, t.reshape(total, total))
+    return _derived(DensityMatrix, new_dims, t.reshape(total, total))
 
 
 def group_parties(state, groups) -> PureState | DensityMatrix:
@@ -355,8 +374,8 @@ def group_parties(state, groups) -> PureState | DensityMatrix:
         raise ValueError("groups must partition the parties in their current order")
     new_dims = tuple(int(np.prod([state.party_dims[i] for i in g])) for g in groups)
     if isinstance(state, PureState):
-        return PureState(new_dims, state.amplitudes)
-    return DensityMatrix(new_dims, state.matrix)
+        return _derived(PureState, new_dims, state.amplitudes)
+    return _derived(DensityMatrix, new_dims, state.matrix)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -18,7 +18,7 @@ from losrkit import (
     save_box,
     uniform_box,
 )
-from losrkit.boxes import _vertex_matrix
+from losrkit.boxes import MAX_TILT, _vertex_matrix
 from oracles import deterministic_vertices
 
 
@@ -188,6 +188,14 @@ class TestTiltedCHSH:
     def test_non_finite_alpha_rejected(self):
         for alpha in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
+                TiltedCHSH(alpha)
+
+    def test_tilt_capped(self):
+        box = catalog.tsirelson_box()
+        for alpha in (MAX_TILT, -MAX_TILT):
+            assert TiltedCHSH(alpha).evaluate(box) == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+        for alpha in (np.nextafter(MAX_TILT, np.inf), 1e17, 1e308, -1e17):
+            with pytest.raises(ValueError, match="alpha"):
                 TiltedCHSH(alpha)
 
     def test_reduces_to_chsh_at_zero(self):

@@ -241,6 +241,17 @@ class TestYield:
         value = float(out.split()[0])
         assert value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
 
+    def test_state_file_just_inside_eps_norm(self, capsys, tmp_path):
+        # Amplitudes of norm 1 + 0.9 eps_norm: accepted, renormalized, and the
+        # yield's density matrix has unit trace.
+        a = float((1 + 0.9 * config.current().eps_norm) / np.sqrt(2))
+        path = tmp_path / "near_unit.txt"
+        path.write_text(f"2 2\n{a!r} 0.0\n0.0 0.0\n0.0 0.0\n{a!r} 0.0\n")
+        with pytest.warns(UserWarning, match="renormalizing"):
+            code, out, _ = run(capsys, "yield", str(path), "chsh")
+        assert code == 0
+        assert out.split()[0] == "2.828427125"
+
     def test_hardy_phi_plus(self, capsys):
         code, out, _ = run(capsys, "--restarts", "4", "yield", "phi_plus", "hardy")
         assert code == 0
@@ -391,6 +402,9 @@ MALFORMED = [
     (["selftest-scan", "chsh", "2.8", "phi_plus", "phi_plus", "--tol", "nan"], ["tol", "nan"]),
     (["selftest-scan", "chsh", "2.8", "phi_plus", "phi_plus", "--tol", "-1"], ["tol", "-1"]),
     (["--restarts", "1000000000000", "yield", "phi_plus", "chsh"], ["restarts", "1000000000000"]),
+    # tilts whose CHSH part rounds away or whose see-saw overflows
+    (["box-eval", "tsirelson_box", "tilted", "--alpha", "1e17"], ["alpha", "1e+17"]),
+    (["yield", "phi_plus", "tilted", "--alpha", "1e308"], ["alpha", "1e+308"]),
 ]
 
 

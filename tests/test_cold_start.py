@@ -1,8 +1,11 @@
 """What a fresh interpreter loads, and what its first calls return.
 
 scipy.optimize is imported by the first LP solve and scipy.linalg by the
-first density matrix, so each check runs in its own interpreter: this
-suite's process has loaded both long before any test runs.
+first density matrix that the constructor checks: one from a file, a literal
+matrix or a channel output.  A pure state's ``density()`` is not re-checked,
+so pure-state yields, ``demo anomaly`` and a ``selftest-scan`` over pure
+candidates load no scipy module.  Each check runs in its own interpreter:
+this suite's process has loaded both long before any test runs.
 """
 
 import json
@@ -50,6 +53,11 @@ class TestScipyLoadedOnDemand:
                 seen["compare"] = loaded()
                 optimize_yield(catalog.phi_plus(), CHSH())
                 seen["yield"] = loaded()
+                losrkit.cli.main(["demo", "anomaly"])
+                seen["demo anomaly"] = loaded()
+                losrkit.cli.main(["--restarts", "4", "selftest-scan", "chsh", "2.8", "phi_plus",
+                                  "phi_plus", "partial(0.3)"])
+                seen["selftest-scan"] = loaded()
                 losrkit.cli.main(["box-local", "pr_box"])
                 seen["box-local"] = loaded()
             print(json.dumps(seen))
@@ -59,7 +67,9 @@ class TestScipyLoadedOnDemand:
             "import": [],
             "schmidt": [],
             "compare": [],
-            "yield": ["scipy.linalg"],
+            "yield": [],
+            "demo anomaly": [],
+            "selftest-scan": [],
             "box-local": ["scipy.optimize", "scipy.linalg"],
         }
 
@@ -83,6 +93,28 @@ class TestFirstCallsInFreshProcess:
         )
         assert not seen["before"]
         assert seen["error"] is not None and "negative eigenvalue" in seen["error"]
+        assert seen["after"]
+
+    def test_flag_mixed_state_checks_its_first_matrix(self):
+        # The flagged state is assembled entry by entry, so the constructor
+        # checks it; only its regrouping skips the checks.
+        seen = run_fresh(
+            """
+            import json, sys
+            import numpy as np
+            from losrkit import catalog
+            from losrkit.selftest import FlagConstruction, flag_mixed_state
+
+            fc = FlagConstruction(catalog.phi_plus(), np.full((2, 2), 0.25),
+                                  (np.eye(2), np.diag([1.0, -1.0])), (np.eye(2), np.eye(2)[::-1]))
+            before = "scipy.linalg" in sys.modules
+            rho = flag_mixed_state(fc)
+            print(json.dumps({"before": before, "dims": rho.party_dims,
+                              "after": "scipy.linalg" in sys.modules}))
+            """
+        )
+        assert not seen["before"]
+        assert seen["dims"] == [4, 4]
         assert seen["after"]
 
     def test_first_local_membership_matches_second(self):

@@ -52,6 +52,15 @@ class TestConstruction:
             psi = PureState((2,), np.array([1.0 + 5e-4, 0.0]))
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
+    def test_density_of_state_just_inside_eps_norm_has_unit_trace(self):
+        # A norm of 1 + 0.9 eps_norm is within eps_norm, but its square is not.
+        eps = config.current().eps_norm
+        with pytest.warns(UserWarning, match="renormalizing"):
+            psi = PureState((2, 2), np.array([1, 0, 0, 1]) * (1 + 0.9 * eps) / np.sqrt(2))
+        rho = psi.density()
+        assert abs(np.trace(rho.matrix) - 1.0) <= eps
+        DensityMatrix(rho.party_dims, rho.matrix)
+
     def test_norm_too_far_raises(self):
         with pytest.raises(ValueError):
             PureState((2,), np.array([1.1, 0.0]))
@@ -192,6 +201,42 @@ class TestTensorAndPermute:
         assert np.allclose(
             permute_parties(psi.density(), (1, 0)).matrix, swapped.density().matrix
         )
+
+
+@st.composite
+def rearranged_states(draw):
+    """A seed, up to 3 party dims (total <= 64), a permutation and a grouping."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    n = len(dims)
+    perm = tuple(draw(st.permutations(range(n))))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    groups = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    return draw(st.integers(0, 2**32 - 1)), dims, perm, groups
+
+
+class TestDerivedStates:
+    """density(), permute_parties and group_parties skip the constructor
+    checks; each result must be one the constructor accepts unchanged."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=rearranged_states())
+    def test_constructor_accepts_derived_state_unchanged(self, case):
+        seed, dims, perm, groups = case
+        rng = np.random.default_rng(seed)
+        psi = random_pure(rng, dims)
+        derived = [psi.density()]
+        for state in (psi, random_density(rng, dims)):
+            derived += [permute_parties(state, perm), group_parties(state, groups)]
+        for out in derived:
+            if isinstance(out, PureState):
+                data = out.amplitudes
+                rebuilt = PureState(out.party_dims, data.copy()).amplitudes
+            else:
+                data = out.matrix
+                rebuilt = DensityMatrix(out.party_dims, data.copy()).matrix
+            assert np.array_equal(rebuilt, data)
+            assert not data.flags.writeable
 
 
 class TestPartialTrace:
