@@ -72,7 +72,7 @@ def pr_box() -> Box:
     for x, y, a, b in product(range(2), repeat=4):
         if a ^ b == x & y:
             table[x, y, a, b] = 0.5
-    return Box(2, (2, 2), (2, 2), table)
+    return Box(table)
 
 
 def tsirelson_box() -> Box:
@@ -81,7 +81,7 @@ def tsirelson_box() -> Box:
     for x, y, a, b in product(range(2), repeat=4):
         e = (1 if (x, y) != (1, 1) else -1) / np.sqrt(2)
         table[x, y, a, b] = 0.25 * (1 + (1 - 2 * a) * (1 - 2 * b) * e)
-    return Box(2, (2, 2), (2, 2), table)
+    return Box(table)
 
 
 def xy_measurements(n_parties: int = 3) -> MeasurementFamily:

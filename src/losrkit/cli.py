@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import catalog, config
 from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
@@ -247,10 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _as_value(arg: str) -> str:
+    """argparse takes a negative number such as ``-1e3`` or ``-inf`` for an
+    unknown option (only ``-5`` and ``-.5`` forms pass); a leading space makes
+    it a value, and ``float`` ignores the space."""
+    try:
+        float(arg)
+    except ValueError:
+        return arg
+    return " " + arg if arg.startswith("-") else arg
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args([_as_value(a) for a in argv])
     # The tolerance flags that were given hold for this call only.
-    names = ("eps_norm", "tau_rank", "eps_match")
+    names = {f.name for f in fields(config.Tolerances)}
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
         with config.override(**flags):

@@ -16,23 +16,18 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerances for the whole toolkit; every field lies in (0, 1).
+    """The three tolerances of the whole toolkit; each lies in (0, 1).
 
-    eps_norm   -- normalization / Hermiticity checks (double-precision SVD
-                  error with headroom).
+    eps_norm   -- normalization / Hermiticity checks of states, channels and
+                  box conditionals (double-precision SVD error with headroom).
     tau_rank   -- rank cutoff separating genuine zeros from eigensolver noise
                   at total dimension <= 64.
     eps_match  -- multiset matching tolerance for spectrum factorization.
-    eps_hardy  -- slack allowed on the Hardy zero constraints when scoring a
-                  box.  Optimized measurements meet them exactly up to
-                  rounding; the slack is for boxes read from files and for
-                  near-pure mixed states, where it decides the score.
     """
 
     eps_norm: float = 1e-9
     tau_rank: float = 1e-10
     eps_match: float = 1e-8
-    eps_hardy: float = 1e-7
 
     def __post_init__(self):
         for f in fields(self):

@@ -63,13 +63,17 @@ class FactorizationResult:
 
 @dataclass(frozen=True)
 class DirectionReport:
-    """Per-direction detail behind a ConversionVerdict."""
+    """Per-direction detail behind a ConversionVerdict; ``blocked_at`` is
+    the bipartition ruling the direction out, None when it passes."""
 
-    ruled_out: bool
     reason: Reason
     blocked_at: Bipartition | None = None
     zetas: tuple[tuple[Bipartition, SchmidtSpectrum], ...] | None = None
     borderline: bool = False
+
+    @property
+    def ruled_out(self) -> bool:
+        return self.blocked_at is not None
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def _check_direction(
         res = factor_spectrum(src, spectra_dst[beta])
         borderline = borderline or res.borderline
         if not res.found:
-            return DirectionReport(True, res.reason, blocked_at=beta, borderline=borderline)
+            return DirectionReport(res.reason, blocked_at=beta, borderline=borderline)
         zetas.append((beta, res.lambda_zeta))
     if n == 3:
         # A rank-1 auxiliary spectrum on a bipartition with singleton side s
@@ -188,14 +192,13 @@ def _check_direction(
         if sum(1 for r in ranks.values() if r == 1) == 2 and max(ranks.values()) > 1:
             blocked = next(beta for beta, z in zetas if z.rank() > 1)
             return DirectionReport(
-                True,
                 Reason.MARGINAL_CONTRADICTION,
                 blocked_at=blocked,
                 zetas=tuple(zetas),
                 borderline=borderline,
             )
     passed = Reason.DECIDED if n == 2 else Reason.NECESSARY_PASSED_ONLY
-    return DirectionReport(False, passed, zetas=tuple(zetas), borderline=borderline)
+    return DirectionReport(passed, zetas=tuple(zetas), borderline=borderline)
 
 
 def compare(psi: PureState, phi: PureState) -> ConversionVerdict:

@@ -188,8 +188,14 @@ class ClosureScanReport:
     target_value: float
     tol: float
     entries: tuple[CandidateReport, ...]
-    satisfied: bool
-    box_unreachable: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return all(e.converts is True for e in self.entries if e.is_reacher)
+
+    @property
+    def box_unreachable(self) -> bool:
+        return not any(e.is_reacher for e in self.entries)
 
     def to_text(self) -> str:
         lines = ["id yield reacher verdict"]
@@ -227,15 +233,12 @@ def closure_scan(
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     entries = []
-    all_convert = True
-    any_reacher = False
     for idx, cand in enumerate(candidates):
         result = optimize_yield(cand, box_functional, restarts=restarts, seed=seed)
         reacher = result.value >= target_value - tol
         converts: bool | None = None
         label = "not_reacher"
         if reacher:
-            any_reacher = True
             if cand.n_parties == target_state.n_parties:
                 verdict = compare(cand, target_state)
                 if verdict.direction != Direction.INCONCLUSIVE:
@@ -244,15 +247,7 @@ def closure_scan(
                 label = "conversion_undecided"
             else:
                 label = "converts" if converts else f"no_conversion({verdict.direction.value})"
-            if converts is not True:
-                all_convert = False
         entries.append(CandidateReport(idx, result.value, reacher, converts, label))
-    satisfied = all_convert if any_reacher else True
     return ClosureScanReport(
-        type(box_functional).__name__,
-        float(target_value),
-        float(tol),
-        tuple(entries),
-        satisfied,
-        not any_reacher,
+        type(box_functional).__name__, float(target_value), float(tol), tuple(entries)
     )

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import config
+from .boxes import Box
 
 # Auto-normalization threshold: small drifts are repaired with a warning,
 # anything larger is treated as a malformed input rather than rescaled away.
@@ -271,64 +272,54 @@ class SchmidtSpectrum:
 class LocalChannelFamily:
     """A classical mixture of tensor products of per-party CPTP maps.
 
-    ``components`` is a tuple of ``(weight, per_party_kraus)`` pairs, where
-    ``per_party_kraus[p]`` is a tuple of (possibly rectangular) Kraus
-    operators for party p.  Rectangular operators change that party's local
-    dimension; all components must agree on the output dimensions.
+    ``components`` is a tuple of ``(weight, per_party_kraus)`` pairs.  The
+    constructor takes ``per_party_kraus[p]`` as a sequence of (possibly
+    rectangular) Kraus operators for party p and stores it as one read-only
+    ``(k, d_out, d_in)`` stack.  Rectangular operators change that party's
+    local dimension; all components must agree on the dimensions.
     """
 
-    components: tuple[tuple[float, tuple[tuple[np.ndarray, ...], ...]], ...]
+    components: tuple[tuple[float, tuple[np.ndarray, ...]], ...]
 
     def __post_init__(self):
         eps = config.current().eps_norm
         comps = []
-        weights = []
-        out_dims = None
-        in_dims = None
         for weight, per_party in self.components:
             w = float(weight)
             if not np.isfinite(w):
                 raise ValueError(f"mixing weight {w} is not finite")
             if w < -eps:
                 raise ValueError(f"negative mixing weight {w}")
-            weights.append(w)
-            frozen_parties = []
-            c_out, c_in = [], []
+            stacks = []
             for kraus_list in per_party:
-                ops = tuple(np.asarray(k, dtype=complex) for k in kraus_list)
+                ops = [np.asarray(k, dtype=complex) for k in kraus_list]
                 if not ops:
                     raise ValueError("each party needs at least one Kraus operator")
-                if not all(np.all(np.isfinite(k)) for k in ops):
+                if ops[0].ndim != 2 or any(k.shape != ops[0].shape for k in ops):
+                    raise ValueError("Kraus operators of one party must share a shape (d_out, d_in)")
+                stack = np.stack(ops)
+                if not np.all(np.isfinite(stack)):
                     raise ValueError("Kraus operators must be finite")
-                rows, cols = ops[0].shape
-                if any(k.shape != (rows, cols) for k in ops):
-                    raise ValueError("Kraus operators of one party must share a shape")
-                comp = sum(k.conj().T @ k for k in ops)
-                if float(np.max(np.abs(comp - np.eye(cols)))) > eps:
+                comp = sum(k.conj().T @ k for k in stack)
+                if float(np.max(np.abs(comp - np.eye(stack.shape[2])))) > eps:
                     raise ValueError("Kraus operators are not trace preserving")
-                for k in ops:
-                    k.setflags(write=False)
-                frozen_parties.append(ops)
-                c_out.append(rows)
-                c_in.append(cols)
-            if out_dims is None:
-                out_dims, in_dims = tuple(c_out), tuple(c_in)
-            elif (tuple(c_out), tuple(c_in)) != (out_dims, in_dims):
+                stack.setflags(write=False)
+                stacks.append(stack)
+            comps.append((w, tuple(stacks)))
+            if [k.shape[1:] for k in stacks] != [k.shape[1:] for k in comps[0][1]]:
                 raise ValueError("components disagree on channel dimensions")
-            comps.append((w, tuple(frozen_parties)))
-        if abs(sum(weights) - 1.0) > eps:
-            raise ValueError(f"mixing weights sum to {sum(weights):.9g}, not 1")
+        total = sum(w for w, _ in comps)
+        if abs(total - 1.0) > eps:
+            raise ValueError(f"mixing weights sum to {total:.9g}, not 1")
         object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "_in_dims", in_dims)
-        object.__setattr__(self, "_out_dims", out_dims)
 
     @property
     def input_dims(self) -> tuple[int, ...]:
-        return self._in_dims
+        return tuple(k.shape[2] for k in self.components[0][1])
 
     @property
     def output_dims(self) -> tuple[int, ...]:
-        return self._out_dims
+        return tuple(k.shape[1] for k in self.components[0][1])
 
     @classmethod
     def identity(cls, dims) -> LocalChannelFamily:
@@ -448,7 +439,7 @@ def apply_channel(rho: DensityMatrix, ch: LocalChannelFamily) -> DensityMatrix:
     for weight, per_party in ch.components:
         t = weight * t_in
         for p, kraus in enumerate(per_party):
-            t = _conjugate_local(t, np.stack(kraus), p)
+            t = _conjugate_local(t, kraus, p)
         out += t
     d_out = int(np.prod(ch.output_dims))
     return DensityMatrix(ch.output_dims, out.reshape(d_out, d_out))
@@ -461,8 +452,6 @@ def born_box(state: DensityMatrix, meas):
     ``[party][setting][outcome]`` of POVM element matrices (one
     ``(settings, outcomes, d, d)`` array per party).
     """
-    from .boxes import Box
-
     elements = meas.povms() if hasattr(meas, "povms") else meas
     if len(elements) != state.n_parties:
         raise ValueError("measurement party count does not match the state")
@@ -480,7 +469,7 @@ def born_box(state: DensityMatrix, meas):
     # [x_1 a_1, ..., x_n a_n] -> [x_1, ..., x_n, a_1, ..., a_n]
     table = table.reshape([k for povm in stacks for k in povm.shape[:2]])
     table = table.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return Box(n, table.shape[:n], table.shape[n:], table)
+    return Box(table)
 
 
 # ---------------------------------------------------------------------------

@@ -68,5 +68,5 @@ def deterministic_vertices(settings, outcomes) -> list[Box]:
         table = np.zeros(settings + outcomes)
         for xs in product(*(range(s) for s in settings)):
             table[xs + tuple(strategy[p][xs[p]] for p in range(n))] = 1.0
-        vertices.append(Box(n, settings, outcomes, table))
+        vertices.append(Box(table))
     return vertices

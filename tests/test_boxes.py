@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from losrkit import (
     TiltedCHSH,
     born_box,
     catalog,
+    config,
     is_no_signaling,
     load_box,
     local_membership,
@@ -28,7 +31,7 @@ def signaling_box():
     for x in range(2):
         for y in range(2):
             table[x, y, y, 0] = 1.0
-    return Box(2, (2, 2), (2, 2), table)
+    return Box(table)
 
 
 class TestBoxType:
@@ -37,18 +40,36 @@ class TestBoxType:
         table[0, 0, 0, 0] = -1e-6
         table[0, 0, 1, 1] = 0.25 + 1e-6
         with pytest.raises(ValueError):
-            Box(2, (2, 2), (2, 2), table)
+            Box(table)
 
     def test_non_finite_entry_rejected(self):
         table = np.full((2, 2, 2, 2), 0.25)
         table[1, 0, 0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            Box(2, (2, 2), (2, 2), table)
+            Box(table)
 
     def test_unnormalized_conditional_rejected(self):
         table = np.full((2, 2, 2, 2), 0.3)
         with pytest.raises(ValueError):
-            Box(2, (2, 2), (2, 2), table)
+            Box(table)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2), (2, 0, 2, 2)])
+    def test_table_without_2n_nonempty_axes_rejected(self, shape):
+        with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
+            Box(np.ones(shape))
+
+    def test_scenario_read_from_table_shape(self):
+        box = Box(np.full((3, 2, 1, 2, 2, 4), 1 / 16))
+        assert box.n_parties == 3
+        assert box.shape == ((3, 2, 1), (2, 2, 4))
+
+    def test_conditional_sums_checked_within_eps_norm(self):
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[:, :, 0, 0] += 1e-7
+        with config.override(eps_norm=1e-6):
+            assert Box(table).table[0, 0, 0, 0] == 0.25 + 1e-7
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            Box(table)
 
 
 class TestNoSignaling:
@@ -129,7 +150,7 @@ class TestLocalMembership:
             w = rng.dirichlet(np.ones(len(verts)))
             table = sum(wi * v.table for wi, v in zip(w, verts))
             calls.clear()
-            res = local_membership(Box(len(settings), settings, outcomes, table))
+            res = local_membership(Box(table))
             assert isinstance(res, LocalModel)
             assert len(calls) == 1
             assert res.reconstruction_error <= 1e-8
@@ -141,7 +162,7 @@ class TestLocalMembership:
         verts = deterministic_vertices((2, 2), (2, 2))
         for _ in range(10):
             w = rng.dirichlet(np.ones(len(verts)) * 0.3)
-            box = Box(2, (2, 2), (2, 2), sum(wi * v.table for wi, v in zip(w, verts)))
+            box = Box(sum(wi * v.table for wi, v in zip(w, verts)))
             if isinstance(local_membership(box), LocalModel):
                 assert CHSH().evaluate(box) <= 2 + 1e-8
 

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -15,7 +16,7 @@ from losrkit import (
     schmidt_spectrum,
     uniform_box,
 )
-from losrkit.cli import main
+from losrkit.cli import build_parser, main
 from losrkit.selftest import conjugate_state
 from conftest import random_pure, random_unitary
 
@@ -48,6 +49,13 @@ class TestSchmidt:
         code, out, _ = run(capsys, "schmidt", str(path), "A|B")
         assert code == 0
         assert out == "0.5 0.5\n"
+
+    def test_tolerance_flags_match_config_fields(self):
+        # A global flag left unset reads None only if it is a tolerance, which
+        # main passes to config.override when given.
+        args = build_parser().parse_args(["demo", "anomaly"])
+        flags = {name for name, value in vars(args).items() if value is None}
+        assert flags == {f.name for f in dataclasses.fields(Tolerances)}
 
     def test_tolerance_flags_do_not_leak(self, capsys):
         code, out, _ = run(capsys, "--tau-rank", "0.3", "schmidt", "two_bell", "A|BC")
@@ -221,7 +229,7 @@ class TestBoxCommands:
             for y in range(2):
                 table[x, y, y, 0] = 1.0  # a = y
         path = tmp_path / "sig.txt"
-        save_box(path, Box(2, (2, 2), (2, 2), table))
+        save_box(path, Box(table))
         code, _, err = run(capsys, "box-local", str(path))
         assert code == 2
         assert err.startswith("error:")
@@ -251,6 +259,21 @@ class TestYield:
             code, out, _ = run(capsys, "yield", str(path), "chsh")
         assert code == 0
         assert out.split()[0] == "2.828427125"
+
+    def test_state_file_inside_loose_eps_norm(self, capsys, tmp_path):
+        # Squared norm 1 + 1.1e-7: inside --eps-norm 1e-6, so neither the
+        # state nor its Born boxes are rescaled or rejected.
+        path = tmp_path / "loose.txt"
+        path.write_text("2 2\n0.70710682 0\n0 0\n0 0\n0.70710682 0\n")
+        code, out, err = run(capsys, "--eps-norm", "1e-6", "yield", str(path), "chsh")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "2.828427435 32 0"
+
+    def test_negative_exponent_alpha(self, capsys):
+        _, expected, _ = run(capsys, "yield", "phi_plus", "tilted", "--alpha=-1e3")
+        code, out, _ = run(capsys, "yield", "phi_plus", "tilted", "--alpha", "-1e3")
+        assert code == 0
+        assert out.splitlines()[0] == expected.splitlines()[0]
 
     def test_hardy_phi_plus(self, capsys):
         code, out, _ = run(capsys, "--restarts", "4", "yield", "phi_plus", "hardy")
@@ -405,6 +428,11 @@ MALFORMED = [
     # tilts whose CHSH part rounds away or whose see-saw overflows
     (["box-eval", "tsirelson_box", "tilted", "--alpha", "1e17"], ["alpha", "1e+17"]),
     (["yield", "phi_plus", "tilted", "--alpha", "1e308"], ["alpha", "1e+308"]),
+    # negative values in exponent form reach the check, not the usage error
+    (
+        ["selftest-scan", "chsh", "2.8", "phi_plus", "phi_plus", "--tol", "-1e-3"],
+        ["tol must be finite and >= 0", "-0.001"],
+    ),
 ]
 
 

@@ -44,6 +44,11 @@ class TestOverride:
             with config.override(eps_unknown=1e-3):
                 pass
 
+    def test_hardy_slack_is_not_a_tolerance(self):
+        with pytest.raises(TypeError):
+            with config.override(eps_hardy=1e-7):
+                pass
+
 
 class TestThreads:
     def test_each_thread_sees_its_own_override(self):

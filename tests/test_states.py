@@ -409,6 +409,19 @@ class TestChannels:
         with pytest.raises(ValueError):
             apply_channel(catalog.ghz().density(), ch)
 
+    def test_ragged_or_empty_kraus_list_rejected(self):
+        with pytest.raises(ValueError, match="must share a shape"):
+            LocalChannelFamily.from_local_kraus(((np.eye(2), np.eye(3)), (np.eye(2),)))
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            LocalChannelFamily.from_local_kraus(((), (np.eye(2),)))
+
+    def test_dims_read_from_kraus_stacks(self):
+        iso = np.eye(3, 2)  # qubit into a qutrit
+        ch = LocalChannelFamily(((0.5, ((iso,), (np.eye(2),))), (0.5, ((iso,), (np.eye(2),)))))
+        assert (ch.input_dims, ch.output_dims) == ((2, 2), (3, 2))
+        stack = ch.components[0][1][0]
+        assert stack.shape == (1, 3, 2) and not stack.flags.writeable
+
     def test_incomplete_kraus_rejected(self):
         half = (np.eye(2, dtype=complex) / 2,)
         with pytest.raises(ValueError):
