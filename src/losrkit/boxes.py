@@ -2,12 +2,14 @@
 
 A box is a dense conditional-probability table p(outcomes|settings).
 Membership in the local polytope is decided by linear programming over the
-deterministic-strategy vertices, returning a convex-weight certificate for
-local boxes and a separating hyperplane for nonlocal ones.
+deterministic-strategy vertices, by exact column generation, returning a
+convex-weight certificate for local boxes and a separating hyperplane for
+nonlocal ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -28,8 +30,9 @@ _PROB_FLOOR = -1e-12
 _HARDY_SLACK = 1e-7
 # Smallest separation-LP gap reported as nonlocal.
 _MARGIN_EPS = 1e-9
-# Entries of the dense membership LP matrix, n_vertices x (table size + 1):
-# 2**25 float64 entries are 256 MiB.
+# Entries of each array local_membership allocates per scenario: the pricing
+# matrix, the LP matrix and the weights over all strategies.  2**25 float64
+# entries are 256 MiB.
 MAX_LP_ENTRIES = 2**25
 # Largest |alpha| of TiltedCHSH.  Its coefficients add the CHSH part onto
 # alpha/2, so the value's rounding error grows with |alpha|: 2.2e-11 at this
@@ -37,7 +40,7 @@ MAX_LP_ENTRIES = 2**25
 MAX_TILT = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """p(outcomes|settings) for n parties as a dense real table.
 
@@ -97,60 +100,97 @@ def is_no_signaling(b: Box, eps: float = 1e-9) -> bool:
     return True
 
 
-def _vertex_matrix(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> np.ndarray:
-    """The membership LP's constraint rows, one per deterministic strategy.
+def _strategy_onehot(index: np.ndarray, settings: int, outcomes: int) -> np.ndarray:
+    """``(len(index), settings, outcomes)`` one-hot tables of one party's
+    strategies: strategy k's outcome tuple over settings is the base-
+    ``outcomes`` digits of k, first setting most significant."""
+    digits = index[:, None] // outcomes ** np.arange(settings - 1, -1, -1) % outcomes
+    return (digits[:, :, None] == np.arange(outcomes)).astype(float)
 
-    Strategies are in lexicographic order, party 0 most significant; party
-    p's strategy is its outcome tuple over settings, also lexicographic.
-    Each row of the ``(n_verts, dim + 1)`` result is the strategy's flattened
-    table followed by -1, the coefficient of the LP's bound variable.
+
+def _lp_rows(settings: tuple[int, ...], outcomes: tuple[int, ...], index: np.ndarray) -> np.ndarray:
+    """The separation LP's constraint rows for the strategies numbered ``index``.
+
+    Strategies are numbered in lexicographic order, party 0 most significant;
+    party p's strategy is its outcome tuple over settings, also lexicographic.
+    Each row of the ``(len(index), dim + 1)`` result is the strategy's
+    flattened table followed by -1, the coefficient of the LP's bound
+    variable.
     """
-    n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
-    dim = math.prod(settings + outcomes)
-    if n_verts * (dim + 1) > MAX_LP_ENTRIES:
-        raise ValueError(
-            f"scenario has {n_verts} deterministic strategies; their LP matrix would hold "
-            f"{n_verts * (dim + 1)} entries (cap {MAX_LP_ENTRIES})"
-        )
-    # One-hot [strategy, setting, outcome] per party on axes (p, n+p, 2n+p)
-    # of the [k..., x..., a...] layout; the last party's product is written
+    n, m = len(settings), len(index)
+    per_party = np.unravel_index(index, tuple(o**s for s, o in zip(settings, outcomes)))
+    rows = np.empty((m, math.prod(settings + outcomes) + 1))
+    rows[:, -1] = -1.0
+    # One-hot [strategy, setting, outcome] per party on axes (0, 1+p, 1+n+p)
+    # of the [k, x..., a...] layout; the last party's product is written
     # straight into the result, seen in that layout.
-    n = len(settings)
-    mat = np.empty((n_verts, dim + 1))
-    mat[:, dim] = -1.0
-    layout = mat[:, :dim].reshape(tuple(o**s for s, o in zip(settings, outcomes)) + settings + outcomes)
-    joint = np.ones((1,) * 3 * n)
-    for p, (s, o) in enumerate(zip(settings, outcomes)):
-        shape = [1] * 3 * n
-        shape[p], shape[n + p], shape[2 * n + p] = o**s, s, o
-        onehot = np.indices((o,) * s).reshape(s, -1).T[:, :, None] == np.arange(o)
-        joint = np.multiply(joint, onehot.reshape(shape), out=layout if p == n - 1 else None)
-    return mat
+    layout = rows[:, :-1].reshape((m,) + settings + outcomes)
+    joint = np.ones((m,) + (1,) * 2 * n)
+    for p, (k, s, o) in enumerate(zip(per_party, settings, outcomes)):
+        shape = [m] + [1] * 2 * n
+        shape[1 + p], shape[1 + n + p] = s, o
+        onehot = _strategy_onehot(k, s, o).reshape(shape)
+        joint = np.multiply(joint, onehot, out=layout if p == n - 1 else None)
+    return rows
 
 
-@dataclass(frozen=True)
+def _best_responses(
+    f: np.ndarray, prefix: np.ndarray, settings: tuple[int, ...], outcomes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact pricing of every deterministic strategy against ``f``.
+
+    ``prefix`` is the one-hot (strategies, settings x outcomes) matrix of all
+    parties but the last.  For each of its rows the last party plays its
+    best response, one argmax per setting: the largest f.V over the
+    vertices V sharing that prefix.  Returns those values and the vertices'
+    indices.
+    """
+    n, s, o = len(settings), settings[-1], outcomes[-1]
+    order = [ax for p in range(n) for ax in (p, n + p)]  # [x_1, a_1, ..., x_n, a_n]
+    table = f.reshape(settings + outcomes).transpose(order).reshape(prefix.shape[1], s * o)
+    g = (prefix @ table).reshape(-1, s, o)
+    last = g.argmax(axis=2) @ o ** np.arange(s - 1, -1, -1)
+    return g.max(axis=2).sum(axis=1), np.arange(len(g)) * o**s + last
+
+
+def _require_within_cap(b: Box, what: str, entries: int) -> None:
+    if entries > MAX_LP_ENTRIES:
+        raise ValueError(
+            f"scenario {b.settings_per_party}/{b.outcomes_per_party}: the membership {what} "
+            f"would hold {entries} entries (cap {MAX_LP_ENTRIES})"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class LocalModel:
     """Convex weights over the deterministic strategies reproducing the box table.
 
     ``weights`` are the duals of the separation LP, a basic (sparse)
-    solution; ``reconstruction_error`` is the verified max |V^T w - p|.
+    solution indexed over all strategies; ``reconstruction_error`` is the
+    verified max |V^T w - p|.  ``rounds`` counts the LP solves and
+    ``columns`` the strategies the last LP held.
     """
 
     weights: np.ndarray
     reconstruction_error: float
+    rounds: int
+    columns: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlocalCertificate:
     """Hyperplane separating the box from the local polytope.
 
     ``functional . table <= local_bound`` holds on every deterministic
     vertex while ``functional . table = value > local_bound`` on the box.
+    ``rounds`` and ``columns`` are as in ``LocalModel``.
     """
 
     functional: np.ndarray
     local_bound: float
     value: float
+    rounds: int
+    columns: int
 
     @property
     def margin(self) -> float:
@@ -168,40 +208,75 @@ def linprog(*args, **kwargs):
 def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
     """Decide membership of ``b`` in the local polytope, with a certificate.
 
-    One LP over (f, c): maximize the gap f.p - c subject to f.V_j <= c on
-    every deterministic vertex V_j and -1 <= f <= 1.  A positive optimal gap
-    yields a NonlocalCertificate.  Otherwise the LP's duals on the vertex
-    constraints are the convex weights: by strong duality they minimize
-    ||V^T w - p||_1 over the simplex.  They form a basic solution, so few
-    weights are nonzero.
+    The separation LP over (f, c): maximize the gap f.p - c subject to
+    f.V_j <= c on every deterministic vertex V_j and -1 <= f <= 1.  It is
+    solved by exact column generation: an LP over a subset of the vertex
+    constraints, then pricing of every vertex (``_best_responses``), adding
+    each best response that beats c, until none does.  The first LP holds
+    every vertex when there are no more vertices than LP variables, and
+    otherwise each prefix strategy's best response to f = p.
+
+    ``local_bound`` is the exact maximum of f.V over all vertices, so a
+    margin f.p - local_bound above ``_MARGIN_EPS`` is a NonlocalCertificate.
+    Otherwise the last LP's duals on its vertex constraints are the convex
+    weights: by strong duality they minimize ||V^T w - p||_1 over the
+    simplex.  They form a basic solution, so few weights are nonzero.
+
+    Refuses a scenario whose pricing matrix, LP matrix or weights would hold
+    more than ``MAX_LP_ENTRIES`` entries, before allocating them.
     """
     if not is_no_signaling(b):
         raise ValueError("local_membership requires a no-signaling box")
-    a_ub = _vertex_matrix(b.settings_per_party, b.outcomes_per_party)
+    settings, outcomes = b.shape
     p_flat = b.table.reshape(-1)
-    n_verts, dim = len(a_ub), p_flat.size
-    v_mat = a_ub[:, :dim]
+    dim = p_flat.size
+    n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
+    n_prefix = n_verts // outcomes[-1] ** settings[-1]
+    all_at_once = n_verts <= dim + 1
+    _require_within_cap(b, "pricing matrix", n_prefix * dim // (settings[-1] * outcomes[-1]))
+    _require_within_cap(b, "LP matrix", (n_verts if all_at_once else n_prefix) * (dim + 1))
+    _require_within_cap(b, "weight vector", n_verts)
 
-    cost = np.concatenate([-p_flat, [1.0]])
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(n_verts),
-        bounds=[(-1, 1)] * dim + [(None, None)],
-        method="highs",
+    prefix = functools.reduce(
+        np.kron,
+        (_strategy_onehot(np.arange(o**s), s, o).reshape(o**s, s * o) for s, o in zip(settings[:-1], outcomes[:-1])),
+        np.ones((1, 1)),
     )
-    if res.status != 0:
-        raise RuntimeError(f"separation LP failed: {res.message}")
-    gap = -res.fun
-    if gap > _MARGIN_EPS:
-        f = res.x[:dim]
-        bound = float(np.max(v_mat @ f))
-        return NonlocalCertificate(f, bound, float(f @ p_flat))
+    kept = np.arange(n_verts) if all_at_once else _best_responses(p_flat, prefix, settings, outcomes)[1]
+    a_ub = _lp_rows(settings, outcomes, kept)
+    cost = np.concatenate([-p_flat, [1.0]])
+    rounds = 0
+    while True:
+        res = linprog(
+            cost,
+            A_ub=a_ub,
+            b_ub=np.zeros(len(a_ub)),
+            bounds=[(-1, 1)] * dim + [(None, None)],
+            method="highs",
+        )
+        rounds += 1
+        if res.status != 0:
+            raise RuntimeError(f"separation LP failed: {res.message}")
+        f, c = res.x[:dim], res.x[dim]
+        value, vertex = _best_responses(f, prefix, settings, outcomes)
+        # Kept vertices may exceed c within the solver's feasibility
+        # tolerance; only a vertex not yet in the LP is a new column.
+        new = vertex[(value > c + _MARGIN_EPS) & ~np.isin(vertex, kept)]
+        if not new.size:
+            break
+        _require_within_cap(b, "LP matrix", (len(kept) + len(new)) * (dim + 1))
+        kept = np.concatenate([kept, new])
+        a_ub = np.vstack([a_ub, _lp_rows(settings, outcomes, new)])
 
+    bound, at_box = float(value.max()), float(f @ p_flat)
+    if at_box - bound > _MARGIN_EPS:
+        return NonlocalCertificate(f, bound, at_box, rounds, len(kept))
     w = np.clip(-res.ineqlin.marginals, 0.0, None)
     w /= w.sum()
-    err = float(np.max(np.abs(v_mat.T @ w - p_flat)))
-    return LocalModel(w, err)
+    weights = np.zeros(n_verts)
+    weights[kept] = w
+    err = float(np.max(np.abs(a_ub[:, :dim].T @ w - p_flat)))
+    return LocalModel(weights, err, rounds, len(kept))
 
 
 # ---------------------------------------------------------------------------

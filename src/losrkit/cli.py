@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import catalog, config
 from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
 from .demos import DEMOS
@@ -127,8 +129,8 @@ def cmd_box_local(args) -> int:
     if isinstance(result, LocalModel):
         print(f"Local reconstruction_error {_fmt(result.reconstruction_error)}")
         if args.long:
-            nz = [(i, w) for i, w in enumerate(result.weights) if w > 1e-12]
-            print("weights: " + " ".join(f"{i}:{_fmt(w)}" for i, w in nz))
+            nz = np.flatnonzero(result.weights > 1e-12)
+            print("weights: " + " ".join(f"{i}:{_fmt(result.weights[i])}" for i in nz))
     else:
         print(
             f"Nonlocal margin {_fmt(result.margin)} value {_fmt(result.value)} "
@@ -136,6 +138,8 @@ def cmd_box_local(args) -> int:
         )
         if args.long:
             print("functional: " + " ".join(_fmt(v) for v in result.functional))
+    if args.long:
+        print(f"lp rounds {result.rounds} columns {result.columns}")
     return 0
 
 

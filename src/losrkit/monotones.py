@@ -53,7 +53,7 @@ _SEESAW_FTOL = 1e-10
 _MAX_RESTARTS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """Projective qubit measurements, one unit Bloch vector n per (party, setting).
 
@@ -90,7 +90,7 @@ class MeasurementFamily:
         return np.tensordot(u, np.stack(PAULI), axes=1) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YieldResult:
     """``restart_values`` holds the see-saw value each restart reached, in
     restart order, for linear functionals.  For Hardy it holds one entry,

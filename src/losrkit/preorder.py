@@ -44,7 +44,7 @@ class Reason(enum.Enum):
     DECIDED = "Decided"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorizationResult:
     """Outcome of factoring one spectrum over another.
 
@@ -61,7 +61,7 @@ class FactorizationResult:
     borderline: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionReport:
     """Per-direction detail behind a ConversionVerdict; ``blocked_at`` is
     the bipartition ruling the direction out, None when it passes."""
@@ -76,7 +76,7 @@ class DirectionReport:
         return self.blocked_at is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConversionVerdict:
     """Decision record for a pair of states (psi = first, phi = second)."""
 

@@ -36,7 +36,7 @@ _ROUNDTRIP_EPS = 1e-9
 _FACTORIZE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagConstruction:
     """Ingredients for a flagged mixed state over a bipartite base state.
 

@@ -57,7 +57,7 @@ def _hermitian_deviation(mat: np.ndarray) -> float:
     return dev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A pure state as a flat complex amplitude vector over labeled parties.
 
@@ -106,7 +106,7 @@ class PureState:
         return _derived(DensityMatrix, self.party_dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density operator over labeled parties (Hermitian, unit trace, PSD)."""
 
@@ -232,7 +232,7 @@ def all_bipartitions(n_parties: int) -> list[Bipartition]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
     """Descending vector of squared Schmidt coefficients across a bipartition."""
 
@@ -268,7 +268,7 @@ class SchmidtSpectrum:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalChannelFamily:
     """A classical mixture of tensor products of per-party CPTP maps.
 

@@ -6,11 +6,23 @@ enumeration, so it is slow and capped to small inputs.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 
 import numpy as np
 
-from losrkit import Box, FactorizationResult, Reason, SchmidtSpectrum, config, rank_ratio_admissible
+from losrkit import (
+    Box,
+    FactorizationResult,
+    LocalModel,
+    NonlocalCertificate,
+    Reason,
+    SchmidtSpectrum,
+    config,
+    is_no_signaling,
+    rank_ratio_admissible,
+)
+from losrkit.boxes import _MARGIN_EPS, linprog
 from losrkit.preorder import _finish
 
 
@@ -70,3 +82,53 @@ def deterministic_vertices(settings, outcomes) -> list[Box]:
             table[xs + tuple(strategy[p][xs[p]] for p in range(n))] = 1.0
         vertices.append(Box(table))
     return vertices
+
+
+def dense_vertex_matrix(settings, outcomes) -> np.ndarray:
+    """The separation LP's constraint rows, one per deterministic strategy,
+    in lexicographic order: each strategy's flattened table followed by -1."""
+    n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
+    dim = math.prod(settings + outcomes)
+    if n_verts * (dim + 1) > 2**22:
+        raise ValueError("dense oracle limited to 2**22 LP entries")
+    # One-hot [strategy, setting, outcome] per party on axes (p, n+p, 2n+p)
+    # of the [k..., x..., a...] layout; the last party's product is written
+    # straight into the result, seen in that layout.
+    n = len(settings)
+    mat = np.empty((n_verts, dim + 1))
+    mat[:, dim] = -1.0
+    layout = mat[:, :dim].reshape(tuple(o**s for s, o in zip(settings, outcomes)) + settings + outcomes)
+    joint = np.ones((1,) * 3 * n)
+    for p, (s, o) in enumerate(zip(settings, outcomes)):
+        shape = [1] * 3 * n
+        shape[p], shape[n + p], shape[2 * n + p] = o**s, s, o
+        onehot = np.indices((o,) * s).reshape(s, -1).T[:, :, None] == np.arange(o)
+        joint = np.multiply(joint, onehot.reshape(shape), out=layout if p == n - 1 else None)
+    return mat
+
+
+def local_membership_dense(b: Box) -> LocalModel | NonlocalCertificate:
+    """Oracle for ``local_membership``: the separation LP with every vertex
+    constraint written out, solved once.  A local box's weights are the LP's
+    duals on the vertex constraints."""
+    if not is_no_signaling(b):
+        raise ValueError("local_membership requires a no-signaling box")
+    a_ub = dense_vertex_matrix(b.settings_per_party, b.outcomes_per_party)
+    p_flat = b.table.reshape(-1)
+    n_verts, dim = len(a_ub), p_flat.size
+    v_mat = a_ub[:, :dim]
+    res = linprog(
+        np.concatenate([-p_flat, [1.0]]),
+        A_ub=a_ub,
+        b_ub=np.zeros(n_verts),
+        bounds=[(-1, 1)] * dim + [(None, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"separation LP failed: {res.message}")
+    if -res.fun > _MARGIN_EPS:
+        f = res.x[:dim]
+        return NonlocalCertificate(f, float(np.max(v_mat @ f)), float(f @ p_flat), 1, n_verts)
+    w = np.clip(-res.ineqlin.marginals, 0.0, None)
+    w /= w.sum()
+    return LocalModel(w, float(np.max(np.abs(v_mat.T @ w - p_flat))), 1, n_verts)

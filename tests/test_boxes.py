@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,14 @@ from losrkit import (
     save_box,
     uniform_box,
 )
-from losrkit.boxes import MAX_TILT, _vertex_matrix
-from oracles import deterministic_vertices
+from losrkit.boxes import MAX_TILT, _lp_rows
+from conftest import phi_plus_box, run_fresh
+from oracles import deterministic_vertices, local_membership_dense
+
+
+def vertex_tables(settings, outcomes) -> np.ndarray:
+    """The oracle's deterministic vertices as flattened rows, in its order."""
+    return np.array([v.table.reshape(-1) for v in deterministic_vertices(settings, outcomes)])
 
 
 def signaling_box():
@@ -95,19 +102,25 @@ class TestVertices:
 
     def test_lp_rows_match_oracle_in_order(self):
         for settings, outcomes in (((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((1,), (5,))):
-            rows = _vertex_matrix(settings, outcomes)
-            oracle = np.array([v.table.reshape(-1) for v in deterministic_vertices(settings, outcomes)])
+            oracle = vertex_tables(settings, outcomes)
+            rows = _lp_rows(settings, outcomes, np.arange(len(oracle)))
             np.testing.assert_array_equal(rows[:, :-1], oracle)
             np.testing.assert_array_equal(rows[:, -1], -1.0)
 
     def test_oversize_rejected(self):
-        # (2,)*9/(2,)*9 has 262,144 vertices of 262,144 entries: the cap must
-        # refuse it before anything is allocated.
+        # (8,8)/(8,8) has 2**24 Alice strategies over 64 of her (setting,
+        # outcome) pairs, (2,)*9/(2,)*9 has 2**16 over 2**16: the cap must
+        # refuse them before anything is allocated.
         for settings, outcomes in (((8, 8), (8, 8)), ((2,) * 9, (2,) * 9)):
-            with pytest.raises(ValueError):
-                _vertex_matrix(settings, outcomes)
-            with pytest.raises(ValueError):
-                local_membership(uniform_box(settings, outcomes))
+            box = uniform_box(settings, outcomes)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="cap"):
+                    local_membership(box)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * box.table.nbytes + 2**20
 
 
 class TestLocalMembership:
@@ -152,7 +165,11 @@ class TestLocalMembership:
             calls.clear()
             res = local_membership(Box(table))
             assert isinstance(res, LocalModel)
-            assert len(calls) == 1
+            # one solve per round, and no separate weights LP; with no more
+            # vertices than LP variables the first LP holds them all
+            assert len(calls) == res.rounds
+            if len(verts) <= table.size + 1:
+                assert res.rounds == 1
             assert res.reconstruction_error <= 1e-8
             # the weights index the oracle's vertex order
             recon = sum(wi * v.table for wi, v in zip(res.weights, verts))
@@ -169,6 +186,124 @@ class TestLocalMembership:
     def test_signaling_input_rejected(self):
         with pytest.raises(ValueError):
             local_membership(signaling_box())
+
+
+def _repeat_settings(box: Box, settings) -> Box:
+    """``box`` on more settings per party, setting x playing setting x mod 2:
+    still no-signaling, and as nonlocal as ``box``."""
+    table = box.table
+    for p, s in enumerate(settings):
+        table = np.take(table, np.arange(s) % 2, axis=p)
+    return Box(table)
+
+
+def _pad_outcomes(box: Box, outcomes) -> Box:
+    """``box`` with outcomes it never produces appended to each party."""
+    n = box.n_parties
+    pad = [(0, 0)] * n + [(0, o - a) for o, a in zip(outcomes, box.outcomes_per_party)]
+    return Box(np.pad(box.table, pad))
+
+
+def _gap(res) -> float:
+    return res.margin if isinstance(res, NonlocalCertificate) else 0.0
+
+
+_GHZ_BOX = born_box(catalog.ghz().density(), catalog.xy_measurements(3))
+_VISIBILITIES = (0.5 - 1e-3, 0.5 + 1e-3, 1 / np.sqrt(2) - 1e-4, 1 / np.sqrt(2) + 1e-4)
+
+
+class TestDenseOracle:
+    """Column generation against the single LP over every vertex."""
+
+    @pytest.mark.parametrize(
+        "settings, outcomes",
+        [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2), (3, 3)), ((2, 2, 2), (2, 2, 2)), ((3, 3, 3), (2, 2, 2)), ((4, 4, 4), (2, 2, 2))],
+    )
+    def test_same_verdict_and_gap(self, settings, outcomes, rng):
+        uni = uniform_box(settings, outcomes)
+        verts = vertex_tables(settings, outcomes)
+        mixture = Box((rng.dirichlet(np.ones(len(verts))) @ verts).reshape(uni.table.shape))
+        if len(settings) == 2:
+            bases, visibilities = (catalog.pr_box(), catalog.tsirelson_box()), _VISIBILITIES
+        else:
+            # the GHZ box's Mermin value 1 meets the local bound 3/4 at v = 1/2
+            bases, visibilities = (_GHZ_BOX,), _VISIBILITIES[:2]
+        boxes = [uni, mixture]
+        for base in bases:
+            base = _pad_outcomes(_repeat_settings(base, settings), outcomes)
+            boxes += [mix_boxes(uni, base, v) for v in visibilities]
+        kinds = set()
+        for box in boxes:
+            res, dense = local_membership(box), local_membership_dense(box)
+            assert type(res) is type(dense)
+            assert abs(_gap(res) - _gap(dense)) <= 1e-9
+            kinds.add(type(res))
+            p_flat = box.table.reshape(-1)
+            if isinstance(res, NonlocalCertificate):
+                # the bound holds on every vertex, not only the LP's columns
+                assert float(np.max(verts @ res.functional)) == pytest.approx(res.local_bound, abs=1e-12)
+                assert res.value == pytest.approx(float(res.functional @ p_flat), abs=1e-12)
+            else:
+                assert res.weights.shape == (len(verts),)
+                assert res.weights.min() >= 0
+                assert np.max(np.abs(res.weights @ verts - p_flat)) <= 1e-8
+                assert res.reconstruction_error <= 1e-8
+            assert 1 <= res.rounds and res.columns <= len(verts)
+        assert kinds == {LocalModel, NonlocalCertificate}
+
+
+class TestMembershipScale:
+    """Scenarios whose dense vertex LP would not fit: each runs in a fresh
+    interpreter that has loaded scipy.optimize and solved one small LP, so
+    ru_maxrss, a high-water mark, measures the call alone."""
+
+    PRELUDE = """
+        import json, resource, time
+        from losrkit import catalog, local_membership, uniform_box
+
+        local_membership(catalog.pr_box())
+
+        def measure(box):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            start = time.perf_counter()
+            res = local_membership(box)
+            seconds = time.perf_counter() - start
+            rise_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+            return res, {"kind": type(res).__name__, "seconds": seconds, "rise_mb": rise_mb}
+        """
+
+    def test_uniform_5x5_3x3_within_50_mb(self):
+        # 59,049 strategies over 225 entries: the dense LP raised RSS by 436 MB
+        seen = run_fresh(self.PRELUDE + """
+        res, seen = measure(uniform_box((5, 5), (3, 3)))
+        seen["error"] = res.reconstruction_error
+        print(json.dumps(seen))
+        """)
+        assert seen["kind"] == "LocalModel"
+        assert seen["error"] <= 1e-8
+        assert seen["rise_mb"] < 50
+
+    def test_ten_settings_decided_within_budget(self):
+        # (10,10)/(2,2): 2**20 strategies, over the old dense cap.  Measured
+        # at 0.6 s and +25 MB on a 2-core Xeon VM; the budget is 4 s and 80 MB.
+        seen = run_fresh(self.PRELUDE + """
+        from conftest import phi_plus_box
+
+        res, seen = measure(phi_plus_box(10, 0.8))
+        seen.update(functional=res.functional.tolist(), bound=res.local_bound, value=res.value)
+        print(json.dumps(seen))
+        """)
+        assert seen["kind"] == "NonlocalCertificate"
+        assert seen["seconds"] < 4
+        assert seen["rise_mb"] < 80
+        # the bound is the maximum over all 1024 x 1024 strategy pairs
+        strategies = np.indices((2,) * 10).reshape(10, -1).T[:, :, None] == np.arange(2)
+        one_hot = strategies.reshape(1024, 20).astype(float)
+        f = np.array(seen["functional"]).reshape(10, 10, 2, 2).transpose(0, 2, 1, 3).reshape(20, 20)
+        assert float(np.max(one_hot @ f @ one_hot.T)) == pytest.approx(seen["bound"], abs=1e-12)
+        p = phi_plus_box(10, 0.8).table.reshape(-1)
+        assert float(np.array(seen["functional"]) @ p) == pytest.approx(seen["value"], abs=1e-12)
+        assert seen["value"] - seen["bound"] > 3
 
 
 class TestCHSH:

@@ -18,7 +18,7 @@ from losrkit import (
 )
 from losrkit.cli import build_parser, main
 from losrkit.selftest import conjugate_state
-from conftest import random_pure, random_unitary
+from conftest import phi_plus_box, random_pure, random_unitary
 
 
 def run(capsys, *argv):
@@ -209,6 +209,19 @@ class TestBoxCommands:
         code, out, _ = run(capsys, "box-local", str(path))
         assert code == 0
         assert out.startswith("Local reconstruction_error")
+
+    def test_box_local_long_reports_lp_rounds(self, capsys):
+        code, out, _ = run(capsys, "--long", "box-local", "pr_box")
+        assert code == 0
+        assert out.splitlines()[-1] == "lp rounds 1 columns 16"
+
+    def test_box_local_beyond_dense_lp(self, capsys, tmp_path):
+        # (10,10)/(2,2) has 2**20 strategies: its dense vertex LP was refused
+        path = tmp_path / "ten.txt"
+        save_box(path, phi_plus_box(10, 0.8))
+        code, out, err = run(capsys, "box-local", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("Nonlocal margin 3.33")
 
     def test_box_eval_chsh(self, capsys):
         code, out, _ = run(capsys, "box-eval", "tsirelson_box", "chsh")

@@ -8,29 +8,7 @@ candidates load no scipy module.  Each check runs in its own interpreter:
 this suite's process has loaded both long before any test runs.
 """
 
-import json
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_fresh(script: str) -> dict:
-    """Run ``script`` in a new interpreter and parse the JSON of its last line."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+from conftest import run_fresh
 
 
 class TestScipyLoadedOnDemand:
