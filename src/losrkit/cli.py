@@ -11,6 +11,7 @@ states and boxes modules.  Output is plain text, one record per line;
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -186,7 +187,13 @@ def cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every caller shares the one parser, so it must not be mutated.  Parsing
+    leaves no state in it: each call returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="losrkit",
         description="LOSR-entanglement convertibility, box classification, and yield monotones.",
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest_scan)
 
     p = sub.add_parser("demo", help="run a built-in demonstration")
-    p.add_argument("name", choices=sorted(DEMOS))
+    p.add_argument("name", choices=DEMOS)
     p.set_defaults(func=cmd_demo)
 
     return parser

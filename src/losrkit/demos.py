@@ -169,9 +169,11 @@ def demo_catalysis(seed: int = 0) -> tuple[list[str], bool]:
     return rep.lines, rep.ok
 
 
+# In sorted order: the CLI reads this dict as the demo choices when it parses
+# a command line, and lists them in this order.
 DEMOS = {
     "anomaly": demo_anomaly,
-    "ghz_mermin": demo_ghz_mermin,
-    "flag_selftest": demo_flag_selftest,
     "catalysis": demo_catalysis,
+    "flag_selftest": demo_flag_selftest,
+    "ghz_mermin": demo_ghz_mermin,
 }

@@ -262,7 +262,7 @@ class SchmidtSpectrum:
         return kept
 
     def tensor(self, other: SchmidtSpectrum) -> SchmidtSpectrum:
-        return SchmidtSpectrum(np.kron(self.values, other.values))
+        return SchmidtSpectrum(np.multiply.outer(self.values, other.values).ravel())
 
     def __len__(self) -> int:
         return self.values.size

@@ -1,7 +1,8 @@
 """Independent oracles that the suite checks the library against.
 
-Each oracle answers the same question as a library routine by exhaustive
-enumeration, so it is slow and capped to small inputs.
+Each oracle answers the same question as a library routine by a slower,
+simpler method: exhaustive enumeration, capped to small inputs, or the plain
+scan that a faster library search must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,34 @@ from losrkit import (
 )
 from losrkit.boxes import _MARGIN_EPS, linprog
 from losrkit.preorder import _finish
+
+
+def factor_spectrum_scan(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> FactorizationResult:
+    """Reference for ``factor_spectrum``: the same greedy peeling with each
+    closest entry found by ``np.argmin`` over every unconsumed entry, kept
+    descending.  Quadratic in rank(psi); the library's bisection must return
+    the same bits."""
+    eps = config.current().eps_match
+    psi = l_psi.truncated()
+    phi = l_phi.truncated()
+    k = rank_ratio_admissible(psi.size, phi.size)
+    if k is None:
+        return FactorizationResult(False, None, np.inf, Reason.RANK_RATIO_NON_INTEGER)
+    remaining = list(psi)  # descending
+    zeta = []
+    for _ in range(k):
+        z = remaining[0] / phi[0]
+        for t in phi:
+            target = t * z
+            j = int(np.argmin([abs(v - target) for v in remaining]))
+            gap = abs(remaining[j] - target)
+            if gap > eps:
+                return FactorizationResult(
+                    False, None, gap, Reason.FACTORIZATION_FAILED, borderline=gap <= 10 * eps
+                )
+            del remaining[j]
+        zeta.append(z)
+    return _finish(zeta, psi, phi)
 
 
 def factor_spectrum_bruteforce(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> FactorizationResult:

@@ -419,6 +419,51 @@ class TestDemos:
         assert "demo result: fail" in out
 
 
+class TestParserReuse:
+    """One parser serves every call in a process; no call may leak into the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_long_does_not_stick(self, capsys):
+        code, long_out, _ = run(capsys, "--long", "compare", "two_bell", "ghz")
+        assert code == 0
+        assert len(long_out.splitlines()) == 3
+        code, out, _ = run(capsys, "compare", "two_bell", "ghz")
+        assert code == 0
+        assert out == "Incomparable MarginalContradiction\n"
+
+    def test_tolerance_flag_does_not_stick(self, capsys):
+        argv = ["factor", "max_entangled(4)", "partial(0.3)"]
+        assert run(capsys, *argv)[1] == "not_found FactorizationFailed\n"
+        code, loose, _ = run(capsys, "--eps-match", "0.5", *argv)
+        assert code == 0
+        assert loose.startswith("found ")
+        assert run(capsys, *argv)[1] == "not_found FactorizationFailed\n"
+        assert config.current() == Tolerances()
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "unknown"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "invalid choice: 'unknown' (choose from 'anomaly', 'catalysis', 'flag_selftest', 'ghz_mermin')\n"
+        )
+        assert "{anomaly,catalysis,flag_selftest,ghz_mermin}" in err
+        code, out, err = run(capsys, "schmidt", "two_bell", "A|BC")
+        assert (code, out, err) == (0, "0.25 0.25 0.25 0.25\n", "")
+
+    def test_seed_does_not_stick(self, capsys, monkeypatch):
+        from losrkit import demos
+
+        seeds = []
+        monkeypatch.setitem(demos.DEMOS, "ghz_mermin", lambda seed=0: (seeds.append(seed) or [], True))
+        assert run(capsys, "--seed", "3", "demo", "ghz_mermin")[0] == 0
+        assert run(capsys, "demo", "ghz_mermin")[0] == 0
+        assert seeds == [3, 0]
+
+
 MALFORMED = [
     # (argv, text the error line must contain)
     # tolerance flags outside (0, 1)

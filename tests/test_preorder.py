@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 
 import numpy as np
@@ -14,15 +15,17 @@ from losrkit import (
     catalog,
     catalytic_convertible,
     compare,
+    config,
     factor_spectrum,
     rank_ratio_admissible,
     schmidt_spectrum,
     spectra_equal,
     verdict_to_text,
 )
+from losrkit.preorder import _closest, _tensor_sorted
 from losrkit.selftest import conjugate_state
 from conftest import majorizes, random_pure, random_unitary
-from oracles import factor_spectrum_bruteforce
+from oracles import factor_spectrum_bruteforce, factor_spectrum_scan
 
 AB = Bipartition(frozenset({0}), 2)
 
@@ -125,6 +128,104 @@ class TestFactorSpectrum:
             assert g.found == b.found
             if g.found:
                 assert np.max(np.abs(g.lambda_zeta.values - b.lambda_zeta.values)) <= 1e-8
+
+
+def _factor_pair(kind, perturbation, rng):
+    """A (psi, phi) spectrum pair of the given kind, psi optionally perturbed
+    by about eps_match: by uniform noise of 0.3 to 30 eps_match, or by
+    dyadic steps moved between entries, which make exact ties."""
+    if kind == "random":
+        return random_spectrum(rng, int(rng.integers(1, 25))), random_spectrum(rng, int(rng.integers(1, 9)))
+    factors = []
+    for _ in range(2):
+        r = int(rng.integers(1, 9))
+        if kind == "random_tensor":
+            w = random_spectrum(rng, r)
+        elif kind == "uniform":
+            w = np.ones(2 ** int(rng.integers(0, 4)))
+        elif kind == "degenerate":
+            w = np.repeat(rng.random(r) + 0.1, rng.integers(1, 4, size=r))
+        else:  # integer ratios: many equal entries and equal products
+            w = rng.integers(1, 5, size=r).astype(float)
+        factors.append(w / w.sum())
+    phi, zeta = factors
+    psi = np.sort(np.kron(phi, zeta))[::-1]
+    eps = config.current().eps_match
+    if perturbation == "noise":
+        psi = np.abs(psi + rng.uniform(-1, 1, psi.size) * eps * 10 ** rng.uniform(np.log10(0.3), np.log10(30)))
+        psi /= psi.sum()
+    elif perturbation == "dyadic" and psi.size > 1:
+        step = 2.0 ** -int(rng.integers(24, 30))  # 1.9e-9 to 6e-8
+        for _ in range(int(rng.integers(1, psi.size))):
+            i, j = rng.choice(psi.size, size=2, replace=False)
+            s = int(rng.integers(1, 3)) * step
+            psi[i] += s
+            psi[j] -= s
+        psi = np.abs(psi)
+    return psi, phi
+
+
+class TestFactorSpectrumMatchesScan:
+    """The bisection must return the scan's bits: same decision, reason,
+    flag, residual and auxiliary spectrum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "random_tensor", "uniform", "degenerate", "integer"]),
+        perturbation=st.sampled_from([None, "noise", "dyadic"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_result_as_scan(self, kind, perturbation, seed):
+        psi, phi = _factor_pair(kind, perturbation, np.random.default_rng(seed))
+        for src, dst in ((psi, phi), (phi, psi)):
+            new = factor_spectrum(spec(*src), spec(*dst))
+            old = factor_spectrum_scan(spec(*src), spec(*dst))
+            assert (new.found, new.reason, new.borderline) == (old.found, old.reason, old.borderline)
+            assert np.array_equal(new.residual, old.residual)
+            if old.lambda_zeta is None:
+                assert new.lambda_zeta is None
+            else:
+                assert np.array_equal(new.lambda_zeta.values, old.lambda_zeta.values)
+
+    def test_closest_is_argmin(self, rng):
+        # Dyadic entries and targets make exact ties between neighbours and
+        # runs of equal entries.  In the last case two distinct entries lie
+        # at distances that round to the same float (ties to even).
+        cases = []
+        for _ in range(2000):
+            asc = np.sort(rng.integers(-8, 9, size=int(rng.integers(1, 12))) / 8.0).tolist()
+            cases.append((asc, float(rng.integers(-20, 21)) / 16.0))
+        cases.append(([-(0.4375 + 2.0**-54), -0.4375], -(0.0625 + 2.0**-55)))
+        for asc, x in cases:
+            assert _closest(asc, x) == int(np.argmin(np.abs(np.array(asc) - x)))
+
+    def test_spectrum_products_equal_kron(self, rng):
+        for ra, rb in ((1, 1), (1, 5), (4, 3), (64, 64)):
+            a, b = spec(*random_spectrum(rng, ra)), spec(*random_spectrum(rng, rb))
+            assert np.array_equal(a.tensor(b).values, SchmidtSpectrum(np.kron(a.values, b.values)).values)
+            assert np.array_equal(_tensor_sorted(a.values, b.values), np.sort(np.kron(a.values, b.values))[::-1])
+
+    def test_catalysis_at_soft_cap_within_budget(self, rng):
+        # (64, 64) states give tensored spectra of 4096 entries, the soft cap
+        # on total dimension.  Entries stay within 2x of uniform, far above
+        # the rank cutoff.
+        def spectrum(r):
+            w = 1.0 + rng.random(r)
+            return np.sort(w / w.sum())[::-1]
+
+        def state(lam):
+            amp = np.zeros((64, 64))
+            amp[np.arange(lam.size), np.arange(lam.size)] = np.sqrt(lam)
+            return PureState((64, 64), amp.reshape(-1))
+
+        phi_s = spectrum(32)
+        psi = state(np.sort(np.kron(phi_s, spectrum(2)))[::-1])
+        phi, chi = state(phi_s), state(spectrum(64))
+        start = time.perf_counter()
+        assert catalytic_convertible(psi, phi, chi)
+        elapsed = time.perf_counter() - start
+        assert elapsed <= 0.1, f"catalytic_convertible at 4096 entries took {elapsed:.3f} s"
+        assert not catalytic_convertible(phi, psi, chi)
 
 
 class TestCompareBipartite:
