@@ -108,47 +108,50 @@ def _strategy_onehot(index: np.ndarray, settings: int, outcomes: int) -> np.ndar
     return (digits[:, :, None] == np.arange(outcomes)).astype(float)
 
 
-def _lp_rows(settings: tuple[int, ...], outcomes: tuple[int, ...], index: np.ndarray) -> np.ndarray:
+def _strategy_layout(settings: tuple[int, ...], outcomes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The one strategy layout of pricing and the LP rows: ``prefix``, the
+    one-hot (strategies, settings x outcomes) Kronecker product of all parties
+    but the last, so that a strategy's table in the interleaved order
+    ``[x_1, a_1, ..., x_n, a_n]`` is a prefix row times the last party's
+    one-hot; and ``perm``, the settings-first flat index of each interleaved
+    entry."""
+    n = len(settings)
+    order = [ax for p in range(n) for ax in (p, n + p)]
+    perm = np.arange(math.prod(settings + outcomes)).reshape(settings + outcomes).transpose(order).reshape(-1)
+    prefix = functools.reduce(
+        np.kron,
+        (_strategy_onehot(np.arange(o**s), s, o).reshape(o**s, s * o) for s, o in zip(settings[:-1], outcomes[:-1])),
+        np.ones((1, 1)),
+    )
+    return prefix, perm
+
+
+def _lp_rows(prefix: np.ndarray, perm: np.ndarray, s: int, o: int, index: np.ndarray) -> np.ndarray:
     """The separation LP's constraint rows for the strategies numbered ``index``.
 
-    Strategies are numbered in lexicographic order, party 0 most significant;
-    party p's strategy is its outcome tuple over settings, also lexicographic.
-    Each row of the ``(len(index), dim + 1)`` result is the strategy's
-    flattened table followed by -1, the coefficient of the LP's bound
-    variable.
+    Strategies run in lexicographic order, party 0 most significant: index
+    k * o**s + j is prefix row k with strategy j of the last party (``s``
+    settings, ``o`` outcomes), whose one-hot is built for the requested j
+    only.  A row is the strategy's table, scattered settings-first through
+    ``perm``, followed by -1, the coefficient of the LP's bound variable.
     """
-    n, m = len(settings), len(index)
-    per_party = np.unravel_index(index, tuple(o**s for s, o in zip(settings, outcomes)))
-    rows = np.empty((m, math.prod(settings + outcomes) + 1))
+    k, j = np.divmod(index, o**s)
+    tables = prefix[k][:, :, None] * _strategy_onehot(j, s, o).reshape(len(index), 1, s * o)
+    rows = np.empty((len(index), perm.size + 1))
     rows[:, -1] = -1.0
-    # One-hot [strategy, setting, outcome] per party on axes (0, 1+p, 1+n+p)
-    # of the [k, x..., a...] layout; the last party's product is written
-    # straight into the result, seen in that layout.
-    layout = rows[:, :-1].reshape((m,) + settings + outcomes)
-    joint = np.ones((m,) + (1,) * 2 * n)
-    for p, (k, s, o) in enumerate(zip(per_party, settings, outcomes)):
-        shape = [m] + [1] * 2 * n
-        shape[1 + p], shape[1 + n + p] = s, o
-        onehot = _strategy_onehot(k, s, o).reshape(shape)
-        joint = np.multiply(joint, onehot, out=layout if p == n - 1 else None)
+    rows[:, perm] = tables.reshape(len(index), -1)
     return rows
 
 
 def _best_responses(
-    f: np.ndarray, prefix: np.ndarray, settings: tuple[int, ...], outcomes: tuple[int, ...]
+    f: np.ndarray, prefix: np.ndarray, perm: np.ndarray, s: int, o: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact pricing of every deterministic strategy against ``f``.
-
-    ``prefix`` is the one-hot (strategies, settings x outcomes) matrix of all
-    parties but the last.  For each of its rows the last party plays its
-    best response, one argmax per setting: the largest f.V over the
-    vertices V sharing that prefix.  Returns those values and the vertices'
-    indices.
-    """
-    n, s, o = len(settings), settings[-1], outcomes[-1]
-    order = [ax for p in range(n) for ax in (p, n + p)]  # [x_1, a_1, ..., x_n, a_n]
-    table = f.reshape(settings + outcomes).transpose(order).reshape(prefix.shape[1], s * o)
-    g = (prefix @ table).reshape(-1, s, o)
+    """Exact pricing of every deterministic strategy against ``f``: for each
+    prefix row the last party plays its best response to ``f[perm]`` (f in
+    the interleaved order), one argmax per setting, giving the largest f.V
+    over the vertices V sharing that prefix.  Returns those values and the
+    vertices' indices."""
+    g = (prefix @ f[perm].reshape(prefix.shape[1], s * o)).reshape(-1, s, o)
     last = g.argmax(axis=2) @ o ** np.arange(s - 1, -1, -1)
     return g.max(axis=2).sum(axis=1), np.arange(len(g)) * o**s + last
 
@@ -212,9 +215,11 @@ def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
     f.V_j <= c on every deterministic vertex V_j and -1 <= f <= 1.  It is
     solved by exact column generation: an LP over a subset of the vertex
     constraints, then pricing of every vertex (``_best_responses``), adding
-    each best response that beats c, until none does.  The first LP holds
-    every vertex when there are no more vertices than LP variables, and
-    otherwise each prefix strategy's best response to f = p.
+    each best response that beats c, until none does.  Pricing and the LP
+    rows read one strategy layout (``_strategy_layout``), built once per
+    call.  The first LP holds every vertex when there are no more vertices
+    than LP variables, and otherwise each prefix strategy's best response to
+    f = p.
 
     ``local_bound`` is the exact maximum of f.V over all vertices, so a
     margin f.p - local_bound above ``_MARGIN_EPS`` is a NonlocalCertificate.
@@ -231,19 +236,16 @@ def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
     p_flat = b.table.reshape(-1)
     dim = p_flat.size
     n_verts = math.prod(o**s for s, o in zip(settings, outcomes))
-    n_prefix = n_verts // outcomes[-1] ** settings[-1]
+    s, o = settings[-1], outcomes[-1]  # the party that pricing gives a best response
+    n_prefix = n_verts // o**s
     all_at_once = n_verts <= dim + 1
-    _require_within_cap(b, "pricing matrix", n_prefix * dim // (settings[-1] * outcomes[-1]))
+    _require_within_cap(b, "pricing matrix", n_prefix * dim // (s * o))
     _require_within_cap(b, "LP matrix", (n_verts if all_at_once else n_prefix) * (dim + 1))
     _require_within_cap(b, "weight vector", n_verts)
 
-    prefix = functools.reduce(
-        np.kron,
-        (_strategy_onehot(np.arange(o**s), s, o).reshape(o**s, s * o) for s, o in zip(settings[:-1], outcomes[:-1])),
-        np.ones((1, 1)),
-    )
-    kept = np.arange(n_verts) if all_at_once else _best_responses(p_flat, prefix, settings, outcomes)[1]
-    a_ub = _lp_rows(settings, outcomes, kept)
+    prefix, perm = _strategy_layout(settings, outcomes)
+    kept = np.arange(n_verts) if all_at_once else _best_responses(p_flat, prefix, perm, s, o)[1]
+    a_ub = _lp_rows(prefix, perm, s, o, kept)
     cost = np.concatenate([-p_flat, [1.0]])
     rounds = 0
     while True:
@@ -258,7 +260,7 @@ def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
         if res.status != 0:
             raise RuntimeError(f"separation LP failed: {res.message}")
         f, c = res.x[:dim], res.x[dim]
-        value, vertex = _best_responses(f, prefix, settings, outcomes)
+        value, vertex = _best_responses(f, prefix, perm, s, o)
         # Kept vertices may exceed c within the solver's feasibility
         # tolerance; only a vertex not yet in the LP is a new column.
         new = vertex[(value > c + _MARGIN_EPS) & ~np.isin(vertex, kept)]
@@ -266,7 +268,7 @@ def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
             break
         _require_within_cap(b, "LP matrix", (len(kept) + len(new)) * (dim + 1))
         kept = np.concatenate([kept, new])
-        a_ub = np.vstack([a_ub, _lp_rows(settings, outcomes, new)])
+        a_ub = np.vstack([a_ub, _lp_rows(prefix, perm, s, o, new)])
 
     bound, at_box = float(value.max()), float(f @ p_flat)
     if at_box - bound > _MARGIN_EPS:
@@ -422,13 +424,15 @@ def load_box(path) -> Box:
         raise ValueError(f"{path}: header needs n_parties, {n} settings and {n} outcomes")
     settings = tuple(int(v) for v in head[1 : 1 + n])
     outcomes = tuple(int(v) for v in head[1 + n :])
+    if min(settings + outcomes, default=0) < 1:
+        raise ValueError(f"{path}: header needs at least one party, with positive settings and outcomes")
     rows = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
-    n_rows = int(np.prod(settings))
+    n_rows = math.prod(settings)
     if len(rows) != n_rows:
         raise ValueError(f"{path}: expected {n_rows} distribution rows, got {len(rows)}")
-    table = np.empty(settings + outcomes)
+    # Every row is checked before the table is built, so a header naming a
+    # huge scenario fails on its short rows instead of allocating the table.
     for row, xs in zip(rows, product(*[range(s) for s in settings])):
-        if row.size != int(np.prod(outcomes)):
+        if row.size != math.prod(outcomes):
             raise ValueError(f"{path}: row for settings {xs} has wrong length")
-        table[xs] = row.reshape(outcomes)
-    return Box(table)
+    return Box(np.array(rows).reshape(settings + outcomes))

@@ -7,6 +7,7 @@ ones like ``partial(0.3927)`` and ``max_entangled(4)``.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import product
 
@@ -42,8 +43,15 @@ def partial(theta: float) -> PureState:
     return PureState((2, 2), np.array([np.cos(theta), 0, 0, np.sin(theta)]))
 
 
+# The working range of dense arrays: at most 4096 total dimensions.
+_MAX_TOTAL_DIM = 4096
+
+
 def max_entangled(d: int) -> PureState:
-    """Uniform Schmidt spectrum of rank d on a d x d system."""
+    """Uniform Schmidt spectrum of rank d on a d x d system; d * d must lie
+    in the 4096-dimension working range, checked before allocating."""
+    if d < 1 or d * d > _MAX_TOTAL_DIM:
+        raise ValueError(f"d must be in 1..{math.isqrt(_MAX_TOTAL_DIM)} (d * d within {_MAX_TOTAL_DIM}), got {d}")
     amp = np.eye(d).reshape(-1) / np.sqrt(d)
     return PureState((d, d), amp)
 

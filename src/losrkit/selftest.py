@@ -101,10 +101,13 @@ def flag_mixed_state(fc: FlagConstruction) -> DensityMatrix:
     return group_parties(out, [(0, 1), (2, 3)])
 
 
-def _basis_column(dim: int, i: int) -> np.ndarray:
-    e = np.zeros((dim, 1), dtype=complex)
-    e[i, 0] = 1.0
-    return e
+def _isometries(fc: FlagConstruction) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Each side's controlled isometries U_i (x) |i>: apply U_i and append
+    flag i to the party."""
+    return tuple(
+        tuple(np.kron(u, flag) for u, flag in zip(us, np.eye(len(us), dtype=complex)[:, :, None]))
+        for us in (fc.unitaries_a, fc.unitaries_b)
+    )
 
 
 def forward_channel(fc: FlagConstruction) -> tuple[LocalChannelFamily, bool]:
@@ -114,35 +117,26 @@ def forward_channel(fc: FlagConstruction) -> tuple[LocalChannelFamily, bool]:
     distribution yields a single product channel; otherwise the family mixes
     one product component per flag pair (i, j) with weight p(ij).
     """
-    fa, fb = fc.flag_dims
-    iso_a = [np.kron(fc.unitaries_a[i], _basis_column(fa, i)) for i in range(fa)]
-    iso_b = [np.kron(fc.unitaries_b[j], _basis_column(fb, j)) for j in range(fb)]
+    iso_a, iso_b = _isometries(fc)
     if fc.dist_factorizes():
         pi = fc.dist.sum(axis=1)
         pj = fc.dist.sum(axis=0)
-        kraus_a = tuple(np.sqrt(pi[i]) * iso_a[i] for i in range(fa))
-        kraus_b = tuple(np.sqrt(pj[j]) * iso_b[j] for j in range(fb))
+        kraus_a = tuple(np.sqrt(p) * k for p, k in zip(pi, iso_a))
+        kraus_b = tuple(np.sqrt(p) * k for p, k in zip(pj, iso_b))
         return LocalChannelFamily.from_local_kraus((kraus_a, kraus_b)), False
     components = []
-    for i in range(fa):
-        for j in range(fb):
-            if fc.dist[i, j] == 0.0:
-                continue
-            components.append((float(fc.dist[i, j]), ((iso_a[i],), (iso_b[j],))))
+    for i, ka in enumerate(iso_a):
+        for j, kb in enumerate(iso_b):
+            if fc.dist[i, j] != 0.0:
+                components.append((float(fc.dist[i, j]), ((ka,), (kb,))))
     return LocalChannelFamily(tuple(components)), True
 
 
 def backward_channel(fc: FlagConstruction) -> LocalChannelFamily:
-    """LOSR channel recovering the base state: controlled inverse, then trace
-    out the local flags."""
-    fa, fb = fc.flag_dims
-    kraus_a = tuple(
-        np.kron(fc.unitaries_a[i].conj().T, _basis_column(fa, i).T) for i in range(fa)
-    )
-    kraus_b = tuple(
-        np.kron(fc.unitaries_b[j].conj().T, _basis_column(fb, j).T) for j in range(fb)
-    )
-    return LocalChannelFamily.from_local_kraus((kraus_a, kraus_b))
+    """LOSR channel recovering the base state: its Kraus operators are the
+    adjoints of the forward isometries, (U_i^dagger) (x) <i|, which undo the
+    controlled unitary and trace the local flag out."""
+    return LocalChannelFamily.from_local_kraus(tuple(tuple(k.conj().T for k in side) for side in _isometries(fc)))
 
 
 def flag_roundtrip_check(fc: FlagConstruction) -> bool:

@@ -15,15 +15,20 @@ import numpy as np
 from losrkit import (
     Box,
     FactorizationResult,
+    FlagConstruction,
     LocalModel,
     NonlocalCertificate,
     Reason,
     SchmidtSpectrum,
+    catalog,
+    catalytic_convertible,
+    compare,
     config,
     is_no_signaling,
     rank_ratio_admissible,
 )
 from losrkit.boxes import _MARGIN_EPS, linprog
+from losrkit.demos import _CATALYSIS_TRIALS, _Report
 from losrkit.preorder import _finish
 
 
@@ -161,3 +166,49 @@ def local_membership_dense(b: Box) -> LocalModel | NonlocalCertificate:
     w = np.clip(-res.ineqlin.marginals, 0.0, None)
     w /= w.sum()
     return LocalModel(w, float(np.max(np.abs(v_mat.T @ w - p_flat))), 1, n_verts)
+
+
+def backward_kraus_kron(fc: FlagConstruction) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Reference for ``backward_channel``'s Kraus operators: each side's
+    U_i^dagger (x) <i| written out with ``np.kron`` and an explicit flag bra."""
+
+    def bra(dim: int, i: int) -> np.ndarray:
+        e = np.zeros((1, dim), dtype=complex)
+        e[0, i] = 1.0
+        return e
+
+    return tuple(
+        tuple(np.kron(u.conj().T, bra(len(us), i)) for i, u in enumerate(us))
+        for us in (fc.unitaries_a, fc.unitaries_b)
+    )
+
+
+def demo_catalysis_states(seed: int = 0) -> tuple[list[str], bool]:
+    """Reference for ``demo_catalysis``: the same draws, with every spectrum
+    turned into a state and both conversions decided on the states by
+    ``compare`` and ``catalytic_convertible``, which take the spectra again."""
+    rep = _Report()
+    rng = np.random.default_rng(seed)
+    counterexamples = 0
+    convertible_cases = 0
+    for t in range(_CATALYSIS_TRIALS):
+        ranks = rng.integers(1, 5, size=3)
+        if t % 2 == 0:
+            lam_phi = np.sort(rng.dirichlet(np.ones(ranks[0])))[::-1]
+            lam_z = np.sort(rng.dirichlet(np.ones(ranks[1])))[::-1]
+            psi = catalog.state_with_spectrum(np.sort(np.kron(lam_phi, lam_z))[::-1])
+            phi = catalog.state_with_spectrum(lam_phi)
+        else:
+            psi = catalog.state_with_spectrum(rng.dirichlet(np.ones(ranks[0])))
+            phi = catalog.state_with_spectrum(rng.dirichlet(np.ones(ranks[1])))
+        chi = catalog.state_with_spectrum(rng.dirichlet(np.ones(max(2, ranks[2]))))
+        plain = compare(psi, phi).allows_forward()
+        cat = catalytic_convertible(psi, phi, chi)
+        convertible_cases += int(plain)
+        if cat != plain:
+            counterexamples += 1
+            rep.say(f"counterexample at trial {t}")
+    rep.say(f"trials {_CATALYSIS_TRIALS}, plainly convertible cases {convertible_cases}")
+    rep.check(counterexamples == 0, "catalytic convertibility always equals plain convertibility")
+    rep.check(convertible_cases > 0, "the sweep exercised genuinely convertible pairs")
+    return rep.lines, rep.ok

@@ -22,7 +22,7 @@ from losrkit import (
     save_box,
     uniform_box,
 )
-from losrkit.boxes import MAX_TILT, _lp_rows
+from losrkit.boxes import MAX_TILT, _lp_rows, _strategy_layout
 from conftest import phi_plus_box, run_fresh
 from oracles import deterministic_vertices, local_membership_dense
 
@@ -101,9 +101,11 @@ class TestVertices:
         assert len(deterministic_vertices((1,), (5,))) == 5
 
     def test_lp_rows_match_oracle_in_order(self):
-        for settings, outcomes in (((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2, 2), (2, 2, 2)), ((1,), (5,))):
+        scenarios = (((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 3), (3, 2)), ((2, 2, 2), (2, 2, 2)), ((1,), (5,)))
+        for settings, outcomes in scenarios:
             oracle = vertex_tables(settings, outcomes)
-            rows = _lp_rows(settings, outcomes, np.arange(len(oracle)))
+            prefix, perm = _strategy_layout(settings, outcomes)
+            rows = _lp_rows(prefix, perm, settings[-1], outcomes[-1], np.arange(len(oracle)))
             np.testing.assert_array_equal(rows[:, :-1], oracle)
             np.testing.assert_array_equal(rows[:, -1], -1.0)
 
@@ -186,6 +188,19 @@ class TestLocalMembership:
     def test_signaling_input_rejected(self):
         with pytest.raises(ValueError):
             local_membership(signaling_box())
+
+    def test_many_last_party_strategies_stay_within_the_weights(self):
+        # Bob's 2**20 strategies: a one-hot table of all of them would hold
+        # 335 MB, while the weight vector over all 2**22 strategies is 32 MB.
+        box = uniform_box((2, 20), (2, 2))
+        tracemalloc.start()
+        try:
+            res = local_membership(box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, LocalModel)
+        assert peak <= res.weights.nbytes + 8 * 2**20
 
 
 def _repeat_settings(box: Box, settings) -> Box:
@@ -420,3 +435,23 @@ class TestBoxFiles:
         path.write_text("2 2 2\n0.5 0.5\n")
         with pytest.raises(ValueError):
             load_box(path)
+
+    @pytest.mark.parametrize("header", ["1 0 2", "1 2 -1", "2 -1 -1 2 2", "0"])
+    def test_nonpositive_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n0.5 0.5\n")
+        with pytest.raises(ValueError, match="header"):
+            load_box(path)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        # 10**8 outcomes would be an 800 MB table; the short row decides first
+        path = tmp_path / "huge.txt"
+        path.write_text("1 1 100000000\n0.5 0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="wrong length"):
+                load_box(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

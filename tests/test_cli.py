@@ -390,6 +390,13 @@ class TestDemos:
         assert code == 0
         assert "demo result: pass" in out
 
+    def test_catalysis_demo_matches_state_level_loop(self):
+        from losrkit.demos import demo_catalysis
+        from oracles import demo_catalysis_states
+
+        for seed in range(20):
+            assert demo_catalysis(seed) == demo_catalysis_states(seed)
+
     def test_ghz_mermin_demo_passes(self, capsys):
         code, out, _ = run(capsys, "demo", "ghz_mermin")
         assert code == 0
@@ -477,6 +484,7 @@ MALFORMED = [
     (["compare", "phi_plus", "max_entangled(0)"], ["'max_entangled(0)'"]),
     (["--tau-rank", "0.9", "compare", "phi_plus", "partial(0.3)"], ["tau_rank 0.9", "largest 0.5"]),
     (["compare", "max_entangled(2.5)", "phi_plus"], ["'max_entangled(2.5)'"]),
+    (["schmidt", "max_entangled(20000)", "A|B"], ["'max_entangled(20000)'", "4096"]),
     (["--tau-rank", "0.6", "--long", "schmidt", "phi_plus", "A|B"], ["tau_rank 0.6", "largest 0.5"]),
     # scan thresholds that are not finite, and restarts over the cap
     (["selftest-scan", "chsh", "nan", "phi_plus", "phi_plus"], ["target_value", "nan"]),

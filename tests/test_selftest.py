@@ -17,6 +17,7 @@ from losrkit import (
     schmidt_spectrum,
 )
 from conftest import random_pure, random_unitary
+from oracles import backward_kraus_kron
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -166,6 +167,14 @@ class TestFlagChannels:
     def test_roundtrip_nontrivial_flag_sizes(self, rng):
         fc = random_fc(rng, catalog.partial(0.6), fa=3, fb=2)
         assert flag_roundtrip_check(fc)
+
+    @pytest.mark.parametrize("fa, fb, factorized", [(2, 2, False), (2, 2, True), (3, 1, False), (1, 4, True)])
+    def test_backward_kraus_are_the_explicit_adjoints(self, rng, fa, fb, factorized):
+        fc = random_fc(rng, random_pure(rng, (3, 2)), fa, fb, factorized)
+        ((weight, stacks),) = backward_channel(fc).components
+        assert weight == 1.0
+        for stack, oracle in zip(stacks, backward_kraus_kron(fc), strict=True):
+            assert np.array_equal(stack, np.stack(oracle))
 
 
 class TestConjugateState:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -518,6 +519,21 @@ class TestCatalog:
         assert isinstance(catalog.resolve("pr_box"), Box)
         with pytest.raises(KeyError):
             catalog.resolve("does_not_exist")
+
+    def test_max_entangled_within_working_range(self):
+        psi = catalog.resolve("max_entangled(64)")
+        assert psi.party_dims == (64, 64)
+        assert np.allclose(schmidt_spectrum(psi, Bipartition(frozenset({0}), 2)).values, 1 / 64, atol=1e-12)
+
+    def test_max_entangled_beyond_working_range_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="'max_entangled\\(100000\\)'"):
+                catalog.resolve("max_entangled(100000)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_state_with_spectrum(self):
         psi = catalog.state_with_spectrum([0.7, 0.2, 0.1])
