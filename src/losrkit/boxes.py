@@ -396,40 +396,48 @@ def uniform_box(settings_per_party, outcomes_per_party) -> Box:
     outcomes = tuple(int(o) for o in outcomes_per_party)
     if len(settings) != len(outcomes):
         raise ValueError("settings/outcomes lists must have one entry per party")
-    table = np.full(settings + outcomes, 1.0 / int(np.prod(outcomes)))
+    table = np.full(settings + outcomes, 1.0 / math.prod(outcomes))
     return Box(table)
 
 
 # ---------------------------------------------------------------------------
-# Text file format: header `n_parties settings... outcomes...`, then one line
-# per settings tuple (lexicographic) listing that conditional distribution in
-# lexicographic outcome order.
+# The one text container of state and box files: a header line of integers,
+# then one row of space-separated floats per line; blank lines are skipped.
+# Box files: header `n_parties settings... outcomes...`, then one row per
+# settings tuple (lexicographic), its distribution in lexicographic outcome order.
 
-def save_box(path, b: Box) -> None:
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(v) for v in (b.n_parties, *b.table.shape)) + "\n")
-        for xs in product(*[range(s) for s in b.settings_per_party]):
-            row = b.table[xs].reshape(-1)
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_box(path) -> Box:
+def _read_text(path) -> tuple[tuple[int, ...], list[str]]:
+    """The header's integers and the stripped non-blank lines after it."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError(f"empty box file: {path}")
-    head = lines[0].split()
-    n = int(head[0])
+        raise ValueError(f"empty file: {path}")
+    return tuple(int(v) for v in lines[0].split()), lines[1:]
+
+
+def _write_text(path, header, rows) -> None:
+    """Each float is written by ``repr``, so ``float`` reads back its bits."""
+    with open(path, "w") as fh:
+        fh.write(" ".join(str(v) for v in header) + "\n")
+        fh.writelines(" ".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def save_box(path, b: Box) -> None:
+    _write_text(path, (b.n_parties, *b.table.shape), b.table.reshape(math.prod(b.settings_per_party), -1))
+
+
+def load_box(path) -> Box:
+    head, lines = _read_text(path)
+    n = head[0]
     if len(head) != 1 + 2 * n:
         raise ValueError(f"{path}: header needs n_parties, {n} settings and {n} outcomes")
-    settings = tuple(int(v) for v in head[1 : 1 + n])
-    outcomes = tuple(int(v) for v in head[1 + n :])
+    settings, outcomes = head[1 : 1 + n], head[1 + n :]
     if min(settings + outcomes, default=0) < 1:
         raise ValueError(f"{path}: header needs at least one party, with positive settings and outcomes")
-    rows = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
     n_rows = math.prod(settings)
-    if len(rows) != n_rows:
-        raise ValueError(f"{path}: expected {n_rows} distribution rows, got {len(rows)}")
+    if len(lines) != n_rows:
+        raise ValueError(f"{path}: expected {n_rows} distribution rows, got {len(lines)}")
+    rows = [np.array([float(v) for v in ln.split()]) for ln in lines]
     # Every row is checked before the table is built, so a header naming a
     # huge scenario fails on its short rows instead of allocating the table.
     for row, xs in zip(rows, product(*[range(s) for s in settings])):

@@ -65,15 +65,6 @@ def chiral() -> PureState:
     return PureState((2, 2, 2), amp)
 
 
-def state_with_spectrum(values) -> PureState:
-    """A bipartite state in Schmidt form with the given squared coefficients."""
-    lam = np.asarray(values, dtype=float)
-    r = lam.size
-    amp = np.zeros((r, r))
-    amp[np.arange(r), np.arange(r)] = np.sqrt(lam)
-    return PureState((r, r), amp.reshape(-1))
-
-
 def pr_box() -> Box:
     """a xor b = x and y with uniform marginals."""
     table = np.zeros((2, 2, 2, 2))

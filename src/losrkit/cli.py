@@ -5,7 +5,7 @@ Inputs are either names from the builtin catalog (``phi_plus``, ``ghz``,
 ``pr_box``, ``tsirelson_box``) or paths to files in the text formats of the
 states and boxes modules.  Output is plain text, one record per line;
 ``--long`` adds prose.  Exit codes: 0 success, 1 failed demo assertions,
-2 malformed input.
+2 malformed or unreadable input.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     try:
         with config.override(**flags):
             return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

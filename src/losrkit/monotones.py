@@ -268,14 +268,15 @@ def optimize_yield(
     """
     if not 1 <= restarts <= _MAX_RESTARTS:
         raise ValueError(f"restarts must be in [1, {_MAX_RESTARTS}], got {restarts}")
-    if isinstance(state, PureState):
-        state = state.density()
     coeffs = None if isinstance(f, HardyScore) else f.coefficients()
     n = 2 if coeffs is None else coeffs.ndim // 2
+    # Checked before ``density()``, which takes 256 MiB at 4096 dimensions.
     if state.n_parties != n or any(d != 2 for d in state.party_dims):
         raise ValueError(
             f"{type(f).__name__} needs {n} qubit parties, state has dims {state.party_dims}"
         )
+    if isinstance(state, PureState):
+        state = state.density()
     if coeffs is None:
         family, restart_values = _optimize_hardy(state)
     else:
@@ -293,10 +294,10 @@ def horodecki_chsh(state: DensityMatrix | PureState) -> float:
     """Closed-form CHSH maximum 2 sqrt(m1 + m2) for a two-qubit state,
     m1 >= m2 the largest eigenvalues of T^T T with T the Pauli correlation
     matrix.  Independent of the see-saw path."""
-    if isinstance(state, PureState):
-        state = state.density()
     if state.party_dims != (2, 2):
         raise ValueError("horodecki_chsh needs a two-qubit state")
+    if isinstance(state, PureState):
+        state = state.density()
     T = pauli_expectations(state)[1:, 1:]
     w = np.linalg.eigvalsh(T.T @ T)
     return 2.0 * float(np.sqrt(max(w[-1] + w[-2], 0.0)))

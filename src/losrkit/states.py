@@ -21,13 +21,14 @@ everything here is meant for desk-scale checks, not bulk simulation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import config
-from .boxes import Box
+from .boxes import Box, _read_text, _write_text
 
 # Auto-normalization threshold: small drifts are repaired with a warning,
 # anything larger is treated as a malformed input rather than rescaled away.
@@ -73,10 +74,8 @@ class PureState:
     def __post_init__(self):
         dims = _as_party_dims(self.party_dims)
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amp.size != int(np.prod(dims)):
-            raise ValueError(
-                f"amplitude length {amp.size} does not match dims {dims}"
-            )
+        if amp.size != math.prod(dims):
+            raise ValueError(f"amplitude length {amp.size} does not match dims {dims}")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
         nrm = float(np.linalg.norm(amp))
@@ -115,7 +114,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = _as_party_dims(self.party_dims)
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
@@ -349,7 +348,7 @@ def permute_parties(state, perm) -> PureState | DensityMatrix:
     n = state.n_parties
     t = state.matrix.reshape(state.party_dims * 2)
     t = t.transpose(tuple(perm) + tuple(n + p for p in perm))
-    total = int(np.prod(new_dims))
+    total = math.prod(new_dims)
     return _derived(DensityMatrix, new_dims, t.reshape(total, total))
 
 
@@ -363,7 +362,7 @@ def group_parties(state, groups) -> PureState | DensityMatrix:
     flat = [i for g in groups for i in g]
     if flat != list(range(state.n_parties)):
         raise ValueError("groups must partition the parties in their current order")
-    new_dims = tuple(int(np.prod([state.party_dims[i] for i in g])) for g in groups)
+    new_dims = tuple(math.prod(state.party_dims[i] for i in g) for g in groups)
     if isinstance(state, PureState):
         return _derived(PureState, new_dims, state.amplitudes)
     return _derived(DensityMatrix, new_dims, state.matrix)
@@ -382,7 +381,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     t = np.einsum(rho.matrix.reshape(rho.party_dims * 2), list(range(n)) + cols,
                   keep + [n + i for i in keep])
     new_dims = tuple(rho.party_dims[i] for i in keep)
-    d = int(np.prod(new_dims))
+    d = math.prod(new_dims)
     return DensityMatrix(new_dims, t.reshape(d, d))
 
 
@@ -398,7 +397,7 @@ def schmidt_spectrum(psi: PureState, beta: Bipartition) -> SchmidtSpectrum:
     left = sorted(beta.left)
     right = sorted(beta.right)
     t = psi.tensor().transpose(left + right)
-    d_left = int(np.prod([psi.party_dims[i] for i in left]))
+    d_left = math.prod(psi.party_dims[i] for i in left)
     d_right = psi.total_dim // d_left
     m = t.reshape(d_left, d_right)
     if d_left <= d_right:
@@ -441,7 +440,7 @@ def apply_channel(rho: DensityMatrix, ch: LocalChannelFamily) -> DensityMatrix:
         for p, kraus in enumerate(per_party):
             t = _conjugate_local(t, kraus, p)
         out += t
-    d_out = int(np.prod(ch.output_dims))
+    d_out = math.prod(ch.output_dims)
     return DensityMatrix(ch.output_dims, out.reshape(d_out, d_out))
 
 
@@ -473,34 +472,25 @@ def born_box(state: DensityMatrix, meas):
 
 
 # ---------------------------------------------------------------------------
-# Text file format: line 1 holds the space-separated party dims, then one
-# `re im` pair per line, row-major (amplitudes for pure states, matrix
-# entries for density matrices -- told apart by the entry count).
+# Text file format, in the container of ``boxes._read_text``: the header holds
+# the party dims, then one `re im` row per entry, row-major (amplitudes for pure
+# states, matrix entries for density matrices -- told apart by the entry count).
 
 def save_state(path, state: PureState | DensityMatrix) -> None:
     data = state.amplitudes if isinstance(state, PureState) else state.matrix.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(d) for d in state.party_dims) + "\n")
-        for z in data:
-            fh.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
+    _write_text(path, state.party_dims, zip(data.real, data.imag))
 
 
 def load_state(path) -> PureState | DensityMatrix:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty state file: {path}")
-    dims = _as_party_dims(lines[0].split())
-    total = int(np.prod(dims))
-    entries = []
-    for ln in lines[1:]:
-        re_s, im_s = ln.split()
-        entries.append(complex(float(re_s), float(im_s)))
-    if len(entries) == total:
-        return PureState(dims, np.array(entries))
-    if len(entries) == total * total:
-        return DensityMatrix(dims, np.array(entries).reshape(total, total))
-    raise ValueError(
-        f"{path}: {len(entries)} entries match neither a pure state ({total}) "
-        f"nor a density matrix ({total * total})"
-    )
+    head, lines = _read_text(path)
+    dims = _as_party_dims(head)
+    total = math.prod(dims)
+    if len(lines) not in (total, total * total):
+        raise ValueError(
+            f"{path}: {len(lines)} entries match neither a pure state ({total}) "
+            f"nor a density matrix ({total * total})"
+        )
+    entries = np.array([complex(float(re_s), float(im_s)) for re_s, im_s in map(str.split, lines)])
+    if len(lines) == total:
+        return PureState(dims, entries)
+    return DensityMatrix(dims, entries.reshape(total, total))

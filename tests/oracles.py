@@ -3,6 +3,7 @@
 Each oracle answers the same question as a library routine by a slower,
 simpler method: exhaustive enumeration, capped to small inputs, or the plain
 scan that a faster library search must reproduce bit for bit.
+``state_with_spectrum`` builds the bipartite states that these tests share.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from losrkit import (
     FlagConstruction,
     LocalModel,
     NonlocalCertificate,
+    PureState,
     Reason,
     SchmidtSpectrum,
-    catalog,
     catalytic_convertible,
     compare,
     config,
@@ -183,6 +184,15 @@ def backward_kraus_kron(fc: FlagConstruction) -> tuple[tuple[np.ndarray, ...], t
     )
 
 
+def state_with_spectrum(values) -> PureState:
+    """A bipartite state in Schmidt form with the given squared coefficients."""
+    lam = np.asarray(values, dtype=float)
+    r = lam.size
+    amp = np.zeros((r, r))
+    amp[np.arange(r), np.arange(r)] = np.sqrt(lam)
+    return PureState((r, r), amp.reshape(-1))
+
+
 def demo_catalysis_states(seed: int = 0) -> tuple[list[str], bool]:
     """Reference for ``demo_catalysis``: the same draws, with every spectrum
     turned into a state and both conversions decided on the states by
@@ -196,12 +206,12 @@ def demo_catalysis_states(seed: int = 0) -> tuple[list[str], bool]:
         if t % 2 == 0:
             lam_phi = np.sort(rng.dirichlet(np.ones(ranks[0])))[::-1]
             lam_z = np.sort(rng.dirichlet(np.ones(ranks[1])))[::-1]
-            psi = catalog.state_with_spectrum(np.sort(np.kron(lam_phi, lam_z))[::-1])
-            phi = catalog.state_with_spectrum(lam_phi)
+            psi = state_with_spectrum(np.sort(np.kron(lam_phi, lam_z))[::-1])
+            phi = state_with_spectrum(lam_phi)
         else:
-            psi = catalog.state_with_spectrum(rng.dirichlet(np.ones(ranks[0])))
-            phi = catalog.state_with_spectrum(rng.dirichlet(np.ones(ranks[1])))
-        chi = catalog.state_with_spectrum(rng.dirichlet(np.ones(max(2, ranks[2]))))
+            psi = state_with_spectrum(rng.dirichlet(np.ones(ranks[0])))
+            phi = state_with_spectrum(rng.dirichlet(np.ones(ranks[1])))
+        chi = state_with_spectrum(rng.dirichlet(np.ones(max(2, ranks[2]))))
         plain = compare(psi, phi).allows_forward()
         cat = catalytic_convertible(psi, phi, chi)
         convertible_cases += int(plain)

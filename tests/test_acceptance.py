@@ -39,7 +39,7 @@ from losrkit import (
 from losrkit.preorder import Direction, Reason, SchmidtSpectrum
 from losrkit.selftest import conjugate_state
 from conftest import random_density, random_unitary
-from oracles import deterministic_vertices, factor_spectrum_bruteforce
+from oracles import deterministic_vertices, factor_spectrum_bruteforce, state_with_spectrum
 
 
 @contextmanager
@@ -160,12 +160,12 @@ def test_criterion_06_catalysis_no_go():
             if t % 2 == 0:
                 phi_s = random_spectrum(rng, ranks[0])
                 zeta_s = random_spectrum(rng, ranks[1])
-                psi = catalog.state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
-                phi = catalog.state_with_spectrum(phi_s)
+                psi = state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
+                phi = state_with_spectrum(phi_s)
             else:
-                psi = catalog.state_with_spectrum(random_spectrum(rng, ranks[0]))
-                phi = catalog.state_with_spectrum(random_spectrum(rng, ranks[1]))
-            chi = catalog.state_with_spectrum(random_spectrum(rng, max(2, int(ranks[2]))))
+                psi = state_with_spectrum(random_spectrum(rng, ranks[0]))
+                phi = state_with_spectrum(random_spectrum(rng, ranks[1]))
+            chi = state_with_spectrum(random_spectrum(rng, max(2, int(ranks[2]))))
             plain = compare(psi, phi).allows_forward()
             assert catalytic_convertible(psi, phi, chi) == plain, f"counterexample at {t}"
             convertible += int(plain)

@@ -455,3 +455,25 @@ class TestBoxFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+# The exact text the writer puts out, and its reload bit for bit.
+_GOLDEN_BOXES = [
+    (
+        catalog.tsirelson_box(),
+        "2 2 2 2 2\n"
+        + "0.42677669529663687 0.07322330470336313 0.07322330470336313 0.42677669529663687\n" * 3
+        + "0.07322330470336313 0.42677669529663687 0.42677669529663687 0.07322330470336313\n",
+    ),
+    (uniform_box((1,), (5,)), "1 1 5\n0.2 0.2 0.2 0.2 0.2\n"),
+]
+
+
+@pytest.mark.parametrize("box, text", _GOLDEN_BOXES, ids=["tsirelson", "one_setting"])
+def test_saved_box_text_pinned(tmp_path, box, text):
+    path = tmp_path / "box.txt"
+    save_box(path, box)
+    assert path.read_bytes() == text.encode()
+    back = load_box(path)
+    assert back.table.shape == box.table.shape
+    assert back.table.tobytes() == np.ascontiguousarray(box.table).tobytes()

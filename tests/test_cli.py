@@ -1,8 +1,17 @@
+import argparse
+import contextlib
 import dataclasses
+import io
+import math
+import tempfile
+import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from losrkit import (
     Bipartition,
@@ -297,6 +306,18 @@ class TestYield:
         code, _, err = run(capsys, "yield", "phi_plus", "klrate")
         assert code == 2
 
+    def test_wrong_dims_refused_before_density(self, capsys):
+        # The density matrix of max_entangled(64) would take 256 MiB.
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "yield", "max_entangled(64)", "chsh")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "error: CHSH needs 2 qubit parties, state has dims (64, 64)\n"
+        assert peak < 2**20
+
     def test_hardy_angles_pinned(self, capsys):
         code, out, _ = run(capsys, "yield", "partial(0.4387)", "hardy")
         assert code == 0
@@ -534,3 +555,207 @@ def test_malformed_input_exits_two_with_one_error_line(capsys, argv, named):
     assert lines[0].startswith("error: ")
     for text in named:
         assert text in lines[0]
+
+
+class TestFileArguments:
+    @pytest.mark.parametrize("command", [["schmidt", "{dir}", "A|B"], ["box-local", "{dir}"]])
+    def test_directory_exits_two(self, capsys, tmp_path, command):
+        argv = [str(tmp_path) if a == "{dir}" else a for a in command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(tmp_path) in lines[0]
+
+    @pytest.mark.parametrize("text", ["65536 65536 65536 65536\n1.0 0.0\n", "4294967296 4294967296\n"])
+    def test_header_beyond_int64_names_its_size(self, capsys, tmp_path, text):
+        # Both headers multiply to 2**64, which int64 arithmetic wraps to 0.
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "schmidt", str(path), "A|B")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(2**64) in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# Every command line drawn from the subcommand table ends in exit 0 or 2
+# (1 only for a failing demo), exit 2 prints exactly one error line, and no
+# exception leaves ``main``.
+
+# Bound on the tracemalloc peak of one call.  The largest input drawn is
+# max_entangled(64), 4096 amplitudes; 500 examples peaked at 12 MiB.
+_PEAK_BOUND = 32 * 2**20
+
+_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e308", "-1e3", "0", "-0", "0.5", "2.8", "1e-300"]),
+)
+_ARG_TEXT = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from([str(2**64), "1e400", "abc", "", "2.5", "0.3927", "nan"]),
+    st.floats().map(repr),
+)
+_CATALOG_NAMES = st.one_of(
+    st.sampled_from([n for n in catalog.names() if "(" not in n] + ["PHI_PLUS", "nope"]),
+    st.builds(
+        "{}({})".format,
+        st.sampled_from([n.split("(")[0] for n in catalog.names() if "(" in n]),
+        _ARG_TEXT,
+    ),
+)
+_SAVED = [
+    catalog.phi_plus(),
+    catalog.ghz(),
+    catalog.partial(0.3),
+    catalog.chiral(),
+    catalog.phi_plus().density(),
+    catalog.pr_box(),
+    catalog.tsirelson_box(),
+    uniform_box((3, 3), (2, 2)),
+    uniform_box((1,), (5,)),
+]
+_HEADER_TOKEN = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["65536", "4294967296", str(2**64), "100000000", "2.5", "x", "nan", "1e3"]),
+)
+_ENTRY_TOKEN = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0.5", "0.25", "0", "1", "nan", "inf", "-1", "x", "1,0", "0j"]),
+)
+
+
+@st.composite
+def _file_text(draw) -> str:
+    """A header of drawn tokens over rows of drawn entries; the row count and
+    length are either drawn or those the header asks for, read as a state or
+    as a box."""
+    head = draw(st.lists(_HEADER_TOKEN, min_size=1, max_size=6))
+    ints = [int(t) for t in head if t.lstrip("-").isdigit()]
+    n_rows, width = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+    if len(ints) == len(head) and all(1 <= v <= 4 for v in ints) and draw(st.booleans()):
+        n = ints[0]
+        if len(ints) == 1 + 2 * n:  # a box header
+            n_rows, width = math.prod(ints[1 : 1 + n]), math.prod(ints[1 + n :])
+        else:
+            n_rows, width = math.prod(ints), 2
+        n_rows = n_rows if n_rows * width <= 64 else draw(st.integers(0, 12))
+    rows = [" ".join(draw(st.lists(_ENTRY_TOKEN, min_size=width, max_size=width))) for _ in range(n_rows)]
+    return "\n".join([" ".join(head), *rows]) + "\n"
+
+
+_INPUT = st.one_of(
+    st.tuples(st.just("name"), _CATALOG_NAMES),
+    st.tuples(st.just("saved"), st.sampled_from(range(len(_SAVED))), st.integers(0, 40), _ENTRY_TOKEN),
+    st.tuples(st.just("text"), _file_text()),
+    st.tuples(st.just("bytes"), st.binary(max_size=64)),
+    st.tuples(st.just("dir")),
+)
+_POSITIONAL = {
+    "state": _INPUT,
+    "state1": _INPUT,
+    "state2": _INPUT,
+    "target_state": _INPUT,
+    "box": _INPUT,
+    "candidates": st.lists(_INPUT, min_size=1, max_size=3),
+    "bipartition": st.sampled_from(["A|B", "A|BC", "AB|C", "b|ac", "A|X", "AB", "A||B", "|", ""]),
+    "functional": st.sampled_from(["chsh", "tilted", "hardy", "mermin", "Mermin", "foo"]),
+    "target_value": _NUMBER_TEXT,
+}
+_SUBCOMMAND_OPTIONS = {
+    "--alpha": _NUMBER_TEXT,
+    "--tol": _NUMBER_TEXT,
+    "--bipartition": _POSITIONAL["bipartition"],
+}
+# Tolerances inside (0, 1) are drawn often, so that most draws get past them.
+_TOLERANCE_TEXT = st.one_of(st.floats(1e-12, 0.1).map(repr), _NUMBER_TEXT)
+_GLOBAL_OPTIONS = {
+    "--eps-norm": _TOLERANCE_TEXT,
+    "--tau-rank": _TOLERANCE_TEXT,
+    "--eps-match": _TOLERANCE_TEXT,
+    "--seed": st.integers(-1, 2**70).map(str),
+    "--restarts": st.sampled_from(["1", "3", "0", "-1", "10001", str(2**64)]),
+}
+
+
+def _subcommand_table() -> dict:
+    """Each subcommand's parser, read from the CLI's own parser."""
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@st.composite
+def _command_lines(draw) -> tuple[str, list]:
+    """argv as a list of strings and drawn inputs; every positional and option
+    value is one argparse accepts, so no draw ends in a usage error."""
+    command, sub = draw(st.sampled_from(sorted(_subcommand_table().items())))
+    argv = []
+    for flag, values in _GLOBAL_OPTIONS.items():
+        if draw(st.integers(0, 3)) == 3:
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--long")
+    argv.append(command)
+    for action in sub._actions:
+        if action.option_strings:
+            if action.dest != "help" and draw(st.booleans()):
+                argv += [action.option_strings[0], draw(_SUBCOMMAND_OPTIONS[action.option_strings[0]])]
+        elif action.choices:
+            argv.append(draw(st.sampled_from(sorted(action.choices))))
+        else:
+            value = draw(_POSITIONAL[action.dest])
+            argv += value if action.nargs == "+" else [value]
+    return command, argv
+
+
+def _materialize(item, directory: Path, index: int) -> str:
+    """The command-line text of one drawn input, writing its file if it has one."""
+    kind, *rest = item
+    if kind == "name":
+        return rest[0]
+    if kind == "dir":
+        return str(directory)
+    path = directory / f"input{index}.txt"
+    if kind == "saved":
+        obj, line, token = _SAVED[rest[0]], rest[1], rest[2]
+        (save_box if isinstance(obj, Box) else save_state)(path, obj)
+        lines = path.read_text().splitlines()
+        if line < len(lines):  # otherwise the saved file is used as it is
+            lines[line] = f"{token} {lines[line].split(' ', 1)[-1]}"
+        path.write_text("\n".join(lines) + "\n")
+    elif kind == "text":
+        path.write_text(rest[0])
+    else:
+        path.write_bytes(rest[0])
+    return str(path)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_command_lines())
+def test_drawn_command_lines_end_in_one_record(drawn):
+    command, argv = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        args = [a if isinstance(a, str) else _materialize(a, directory, i) for i, a in enumerate(argv)]
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        except SystemExit:
+            pytest.fail(f"argparse rejected {args}")
+        finally:
+            tracemalloc.stop()
+    assert code in ((0, 1, 2) if command == "demo" else (0, 2)), args
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert err.getvalue() == ""
+    assert peak < _PEAK_BOUND, (args, peak)

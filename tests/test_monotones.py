@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -135,6 +136,17 @@ class TestHorodecki:
     def test_wrong_dims(self):
         with pytest.raises(ValueError):
             horodecki_chsh(catalog.ghz())
+
+    def test_wrong_dims_refused_before_density(self):
+        # The density matrix of max_entangled(64) would take 256 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="two-qubit"):
+                horodecki_chsh(catalog.max_entangled(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestOptimizeYield:

@@ -25,7 +25,7 @@ from losrkit import (
 from losrkit.preorder import _closest, _tensor_sorted
 from losrkit.selftest import conjugate_state
 from conftest import majorizes, random_pure, random_unitary
-from oracles import factor_spectrum_bruteforce, factor_spectrum_scan
+from oracles import factor_spectrum_bruteforce, factor_spectrum_scan, state_with_spectrum
 
 AB = Bipartition(frozenset({0}), 2)
 
@@ -258,8 +258,8 @@ class TestCompareBipartite:
         # strictly ordered
         for _ in range(40):
             r = int(rng.integers(2, 5))
-            psi = catalog.state_with_spectrum(random_spectrum(rng, r))
-            phi = catalog.state_with_spectrum(random_spectrum(rng, r))
+            psi = state_with_spectrum(random_spectrum(rng, r))
+            phi = state_with_spectrum(random_spectrum(rng, r))
             v = compare(psi, phi)
             assert v.direction in (Direction.EQUIVALENT, Direction.INCOMPARABLE)
 
@@ -270,8 +270,8 @@ class TestCompareBipartite:
         for _ in range(40):
             phi_s = random_spectrum(rng, int(rng.integers(1, 4)))
             zeta_s = random_spectrum(rng, int(rng.integers(1, 4)))
-            psi = catalog.state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
-            phi = catalog.state_with_spectrum(phi_s)
+            psi = state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
+            phi = state_with_spectrum(phi_s)
             v = compare(psi, phi)
             if v.allows_forward():
                 seen_convertible += 1
@@ -350,9 +350,9 @@ class TestCatalysis:
     def test_convertible_stays_convertible(self, rng):
         phi_s = random_spectrum(rng, 2)
         zeta_s = random_spectrum(rng, 2)
-        psi = catalog.state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
-        phi = catalog.state_with_spectrum(phi_s)
-        chi = catalog.state_with_spectrum(random_spectrum(rng, 3))
+        psi = state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
+        phi = state_with_spectrum(phi_s)
+        chi = state_with_spectrum(random_spectrum(rng, 3))
         assert compare(psi, phi).allows_forward()
         assert catalytic_convertible(psi, phi, chi)
 
@@ -360,13 +360,13 @@ class TestCatalysis:
         psi = catalog.phi_plus()
         phi = catalog.partial(np.pi / 8)
         for _ in range(10):
-            chi = catalog.state_with_spectrum(random_spectrum(rng, int(rng.integers(2, 5))))
+            chi = state_with_spectrum(random_spectrum(rng, int(rng.integers(2, 5))))
             assert not catalytic_convertible(psi, phi, chi)
             assert not catalytic_convertible(phi, psi, chi)
 
     def test_identity_conversion(self, rng):
-        psi = catalog.state_with_spectrum(random_spectrum(rng, 3))
-        chi = catalog.state_with_spectrum(random_spectrum(rng, 2))
+        psi = state_with_spectrum(random_spectrum(rng, 3))
+        chi = state_with_spectrum(random_spectrum(rng, 2))
         assert catalytic_convertible(psi, psi, chi)
 
     def test_sweep_matches_plain_convertibility(self, rng):
@@ -375,12 +375,12 @@ class TestCatalysis:
             if t % 2 == 0:
                 phi_s = random_spectrum(rng, ranks[0])
                 zeta_s = random_spectrum(rng, ranks[1])
-                psi = catalog.state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
-                phi = catalog.state_with_spectrum(phi_s)
+                psi = state_with_spectrum(np.sort(np.kron(phi_s, zeta_s))[::-1])
+                phi = state_with_spectrum(phi_s)
             else:
-                psi = catalog.state_with_spectrum(random_spectrum(rng, ranks[0]))
-                phi = catalog.state_with_spectrum(random_spectrum(rng, ranks[1]))
-            chi = catalog.state_with_spectrum(random_spectrum(rng, max(2, ranks[2])))
+                psi = state_with_spectrum(random_spectrum(rng, ranks[0]))
+                phi = state_with_spectrum(random_spectrum(rng, ranks[1]))
+            chi = state_with_spectrum(random_spectrum(rng, max(2, ranks[2])))
             assert catalytic_convertible(psi, phi, chi) == compare(psi, phi).allows_forward()
 
     def test_rejects_multipartite(self):

@@ -33,6 +33,7 @@ from losrkit import (
 )
 from losrkit import states
 from conftest import random_density, random_pure, random_unitary
+from oracles import state_with_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +70,15 @@ class TestConstruction:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             PureState((2, 2), np.array([1.0, 0.0]))
+
+    # 65536**4 = 2**64, which int64 arithmetic wraps to 0.
+    def test_length_beyond_int64(self):
+        with pytest.raises(ValueError, match="amplitude length 0 does not match"):
+            PureState((65536,) * 4, [])
+
+    def test_matrix_shape_beyond_int64(self):
+        with pytest.raises(ValueError, match="matrix shape"):
+            DensityMatrix((65536,) * 4, np.zeros((0, 0)))
 
     def test_empty_dims(self):
         with pytest.raises(ValueError):
@@ -536,7 +546,7 @@ class TestCatalog:
         assert peak < 2**20
 
     def test_state_with_spectrum(self):
-        psi = catalog.state_with_spectrum([0.7, 0.2, 0.1])
+        psi = state_with_spectrum([0.7, 0.2, 0.1])
         spec = schmidt_spectrum(psi, Bipartition(frozenset({0}), 2))
         assert np.allclose(spec.values, [0.7, 0.2, 0.1], atol=1e-12)
 
@@ -571,3 +581,27 @@ class TestStateFiles:
         path.write_text("2 2\n1.0 0.0\n0.0 0.0\n")
         with pytest.raises(ValueError):
             load_state(path)
+
+
+# The exact text the writer puts out, and its reload bit for bit.
+_GOLDEN_STATES = [
+    (catalog.phi_plus, "2 2\n0.7071067811865475 0.0\n0.0 0.0\n0.0 0.0\n0.7071067811865475 0.0\n"),
+    (
+        lambda: catalog.phi_plus().density(),
+        "2 2\n0.4999999999999999 0.0\n0.0 0.0\n0.0 0.0\n0.4999999999999999 0.0\n"
+        "0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n0.0 0.0\n"
+        "0.4999999999999999 0.0\n0.0 0.0\n0.0 0.0\n0.4999999999999999 0.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text", _GOLDEN_STATES, ids=["pure", "density"])
+def test_saved_state_text_pinned(tmp_path, make, text):
+    state = make()
+    path = tmp_path / "state.txt"
+    save_state(path, state)
+    assert path.read_bytes() == text.encode()
+    back = load_state(path)
+    assert type(back) is type(state) and back.party_dims == state.party_dims
+    data = (lambda s: s.amplitudes) if isinstance(state, PureState) else (lambda s: s.matrix)
+    assert data(back).tobytes() == data(state).tobytes()
