@@ -28,8 +28,12 @@ _PROB_FLOOR = -1e-12
 # measurements meet them exactly up to rounding; the slack is for boxes read
 # from files and for near-pure mixed states, where it decides the score.
 _HARDY_SLACK = 1e-7
-# Smallest separation-LP gap reported as nonlocal.
+# Smallest separation-LP gap reported as nonlocal.  HiGHS's default primal
+# and dual feasibility tolerances, 1e-7, would set the LP's resolution above
+# it and report gaps up to about 3e-7 as local, so the LP solves at a tenth
+# of the margin.
 _MARGIN_EPS = 1e-9
+_LP_TOL = _MARGIN_EPS / 10
 # Entries of each array local_membership allocates per scenario: the pricing
 # matrix, the LP matrix and the weights over all strategies.  2**25 float64
 # entries are 256 MiB.
@@ -255,6 +259,7 @@ def local_membership(b: Box) -> LocalModel | NonlocalCertificate:
             b_ub=np.zeros(len(a_ub)),
             bounds=[(-1, 1)] * dim + [(None, None)],
             method="highs",
+            options={"primal_feasibility_tolerance": _LP_TOL, "dual_feasibility_tolerance": _LP_TOL},
         )
         rounds += 1
         if res.status != 0:

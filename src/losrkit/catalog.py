@@ -39,7 +39,9 @@ def two_bell() -> PureState:
 
 
 def partial(theta: float) -> PureState:
-    """cos(theta)|00> + sin(theta)|11>."""
+    """cos(theta)|00> + sin(theta)|11>, for finite theta."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return PureState((2, 2), np.array([np.cos(theta), 0, 0, np.sin(theta)]))
 
 

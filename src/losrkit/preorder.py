@@ -251,11 +251,9 @@ def compare(psi: PureState, phi: PureState) -> ConversionVerdict:
         if spectra_equal(sp_psi[beta], sp_phi[beta]):
             witness = ((beta, SchmidtSpectrum(np.array([1.0]))),)
             return ConversionVerdict(Direction.EQUIVALENT, Reason.DECIDED, witness, fwd, bwd)
-        if not (fwd.ruled_out or bwd.ruled_out):
-            # both factorizations with unequal spectra would force rank ratio 1
-            # in both directions, hence equal spectra; only reachable at the
-            # tolerance boundary.
-            raise ArithmeticError("inconsistent bidirectional factorization near tolerance")
+        # Both directions cannot pass here: that forces equal ranks, so zeta
+        # = [1.0] and the residual max|phi - psi| <= eps_match is the test
+        # spectra_equal has just failed.
     if fwd.ruled_out and bwd.ruled_out:
         reason = Reason.DECIDED if n == 2 else fwd.reason
         return ConversionVerdict(Direction.INCOMPARABLE, reason, None, fwd, bwd)

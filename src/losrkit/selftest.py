@@ -22,14 +22,7 @@ import numpy as np
 from .boxes import BellFunctional
 from .monotones import optimize_yield
 from .preorder import Direction, compare
-from .states import (
-    DensityMatrix,
-    LocalChannelFamily,
-    PureState,
-    apply_channel,
-    group_parties,
-    permute_parties,
-)
+from .states import DensityMatrix, LocalChannelFamily, PureState, apply_channel
 
 _UNITARY_EPS = 1e-12
 _ROUNDTRIP_EPS = 1e-9
@@ -41,37 +34,37 @@ class FlagConstruction:
     """Ingredients for a flagged mixed state over a bipartite base state.
 
     ``dist[i, j]`` is the joint flag distribution, ``unitaries_a[i]`` /
-    ``unitaries_b[j]`` the locally controlled unitaries; flag dimensions are
-    the list lengths.
+    ``unitaries_b[j]`` the locally controlled unitaries.  The constructor
+    takes each side's unitaries as a sequence of d x d matrices and stores
+    them as one read-only ``(flags, d, d)`` stack; flag dimensions are the
+    stack lengths.
     """
 
     base_state: PureState
     dist: np.ndarray
-    unitaries_a: tuple[np.ndarray, ...]
-    unitaries_b: tuple[np.ndarray, ...]
+    unitaries_a: np.ndarray
+    unitaries_b: np.ndarray
 
     def __post_init__(self):
         if self.base_state.n_parties != 2:
             raise ValueError("flag construction needs a bipartite base state")
-        ua = tuple(np.asarray(u, dtype=complex) for u in self.unitaries_a)
-        ub = tuple(np.asarray(u, dtype=complex) for u in self.unitaries_b)
+        sides = [[np.asarray(u, dtype=complex) for u in us] for us in (self.unitaries_a, self.unitaries_b)]
         p = np.asarray(self.dist, dtype=float)
-        if p.shape != (len(ua), len(ub)):
-            raise ValueError(f"dist shape {p.shape} must be ({len(ua)}, {len(ub)})")
+        if p.shape != tuple(map(len, sides)):
+            raise ValueError(f"dist shape {p.shape} must be ({len(sides[0])}, {len(sides[1])})")
         if float(p.min()) < 0 or abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError("dist must be a probability table")
-        da, db = self.base_state.party_dims
-        for u, d, side in [(u, da, "A") for u in ua] + [(u, db, "B") for u in ub]:
-            if u.shape != (d, d):
+        for ops, d, side in zip(sides, self.base_state.party_dims, "AB"):
+            if any(u.shape != (d, d) for u in ops):
                 raise ValueError(f"unitary on side {side} must be {d}x{d}")
-            if float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) > _UNITARY_EPS:
+            stack = np.stack(ops)
+            gram = stack.conj().transpose(0, 2, 1) @ stack if np.all(np.isfinite(stack)) else np.inf
+            if float(np.max(np.abs(gram - np.eye(d)))) > _UNITARY_EPS:
                 raise ValueError(f"non-unitary operator on side {side}")
-        for u in ua + ub:
-            u.setflags(write=False)
+            stack.setflags(write=False)
+            object.__setattr__(self, f"unitaries_{side.lower()}", stack)
         p.setflags(write=False)
         object.__setattr__(self, "dist", p)
-        object.__setattr__(self, "unitaries_a", ua)
-        object.__setattr__(self, "unitaries_b", ub)
 
     @property
     def flag_dims(self) -> tuple[int, int]:
@@ -86,26 +79,24 @@ class FlagConstruction:
 
 
 def flag_mixed_state(fc: FlagConstruction) -> DensityMatrix:
-    """The flagged mixed state, grouped as A = (A, flag_A), B = (B, flag_B)."""
+    """The flagged mixed state sum_ij p(ij) |w_ij><w_ij| (x) |ij><ij| with
+    w_ij = (U_i (x) V_j) psi, grouped as A = (A, flag_A), B = (B, flag_B)."""
     da, db = fc.base_state.party_dims
     fa, fb = fc.flag_dims
-    psi = fc.base_state.amplitudes
-    # sum_ij block_ij (x) |ij><ij| as [base row, flag, base col, flag]
-    rho = np.zeros((da * db, fa * fb, da * db, fa * fb), dtype=complex)
-    for i in range(fa):
-        for j in range(fb):
-            v = np.kron(fc.unitaries_a[i], fc.unitaries_b[j]) @ psi
-            rho[:, i * fb + j, :, i * fb + j] = fc.dist[i, j] * np.outer(v, v.conj())
-    out = DensityMatrix((da, db, fa, fb), rho.reshape(da * db * fa * fb, -1))
-    out = permute_parties(out, (0, 2, 1, 3))  # (A, flag_A, B, flag_B)
-    return group_parties(out, [(0, 1), (2, 3)])
+    w = np.einsum("iac,jbd,cd->ijab", fc.unitaries_a, fc.unitaries_b, fc.base_state.tensor(), optimize=True)
+    # [A, flag_A, B, flag_B] rows then columns; only flag-diagonal blocks are nonzero
+    rho = np.zeros((da, fa, db, fb) * 2, dtype=complex)
+    i, j = np.ogrid[:fa, :fb]
+    rho[:, i, :, j, :, i, :, j] = np.einsum("ij,ijab,ijcd->ijabcd", fc.dist, w, w.conj())
+    d = da * fa * db * fb
+    return DensityMatrix((da * fa, db * fb), rho.reshape(d, d))
 
 
-def _isometries(fc: FlagConstruction) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Each side's controlled isometries U_i (x) |i>: apply U_i and append
-    flag i to the party."""
+def _isometries(fc: FlagConstruction) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's controlled isometries U_i (x) |i> as one ``(f, d*f, d)``
+    stack: apply U_i and append flag i to the party."""
     return tuple(
-        tuple(np.kron(u, flag) for u, flag in zip(us, np.eye(len(us), dtype=complex)[:, :, None]))
+        (us[:, :, None, :] * np.eye(len(us))[:, None, :, None]).reshape(len(us), -1, us.shape[2])
         for us in (fc.unitaries_a, fc.unitaries_b)
     )
 
@@ -114,29 +105,27 @@ def forward_channel(fc: FlagConstruction) -> tuple[LocalChannelFamily, bool]:
     """LOSR channel taking the base state to the flagged mixed state.
 
     Returns (family, needs_shared_randomness).  A factorized flag
-    distribution yields a single product channel; otherwise the family mixes
-    one product component per flag pair (i, j) with weight p(ij).
+    distribution yields a single product channel.  Otherwise the family
+    mixes one component per Alice flag i with p(i) > 0, weighted p(i): Alice
+    applies U_i (x) |i> and Bob the Kraus operators sqrt(p(j|i)) V_j (x) |j>.
     """
     iso_a, iso_b = _isometries(fc)
+    pi = fc.dist.sum(axis=1)
     if fc.dist_factorizes():
-        pi = fc.dist.sum(axis=1)
         pj = fc.dist.sum(axis=0)
-        kraus_a = tuple(np.sqrt(p) * k for p, k in zip(pi, iso_a))
-        kraus_b = tuple(np.sqrt(p) * k for p, k in zip(pj, iso_b))
-        return LocalChannelFamily.from_local_kraus((kraus_a, kraus_b)), False
-    components = []
-    for i, ka in enumerate(iso_a):
-        for j, kb in enumerate(iso_b):
-            if fc.dist[i, j] != 0.0:
-                components.append((float(fc.dist[i, j]), ((ka,), (kb,))))
-    return LocalChannelFamily(tuple(components)), True
+        kraus = (np.sqrt(pi)[:, None, None] * iso_a, np.sqrt(pj)[:, None, None] * iso_b)
+        return LocalChannelFamily.from_local_kraus(kraus), False
+    return LocalChannelFamily(tuple(
+        (float(pi[i]), ((iso_a[i],), np.sqrt(fc.dist[i] / pi[i])[:, None, None] * iso_b))
+        for i in np.flatnonzero(pi)
+    )), True
 
 
 def backward_channel(fc: FlagConstruction) -> LocalChannelFamily:
     """LOSR channel recovering the base state: its Kraus operators are the
     adjoints of the forward isometries, (U_i^dagger) (x) <i|, which undo the
     controlled unitary and trace the local flag out."""
-    return LocalChannelFamily.from_local_kraus(tuple(tuple(k.conj().T for k in side) for side in _isometries(fc)))
+    return LocalChannelFamily.from_local_kraus(tuple(k.conj().transpose(0, 2, 1) for k in _isometries(fc)))
 
 
 def flag_roundtrip_check(fc: FlagConstruction) -> bool:

@@ -78,7 +78,8 @@ class PureState:
             raise ValueError(f"amplitude length {amp.size} does not match dims {dims}")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes must be finite")
-        nrm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            nrm = float(np.linalg.norm(amp))
         dev = abs(nrm - 1.0)
         if dev > NORM_REPAIR_LIMIT:
             raise ValueError(f"state norm {nrm:.6g} too far from 1 to repair")

@@ -149,6 +149,18 @@ class TestLocalMembership:
         assert isinstance(res, NonlocalCertificate)
         assert res.margin > 1e-6
 
+    @pytest.mark.parametrize("d", [1e-7, 1e-8, 1e-9, -1e-9, -1e-7])
+    def test_noisy_tsirelson_decided_at_the_margin(self, d):
+        # Visibility 1/sqrt(2) + d has CHSH gap 2 sqrt(2) d.  At HiGHS's default
+        # feasibility tolerance, 1e-7, gaps up to about 3e-7 were reported local.
+        res = local_membership(mix_boxes(uniform_box((2, 2), (2, 2)), catalog.tsirelson_box(), 1 / np.sqrt(2) + d))
+        if d > 0:
+            assert isinstance(res, NonlocalCertificate)
+            assert res.margin == pytest.approx(2 * np.sqrt(2) * d, rel=1e-3)
+        else:
+            assert isinstance(res, LocalModel)
+            assert res.reconstruction_error <= 1e-15
+
     def test_local_mixture_recognized(self, rng, monkeypatch):
         import losrkit.boxes
 

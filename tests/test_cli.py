@@ -580,6 +580,27 @@ class TestFileArguments:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and str(2**64) in lines[0]
 
+    # Inputs that once printed numpy RuntimeWarning lines before the error
+    # line: cos/sin of a non-finite theta, and an overflowing state norm.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["schmidt", "partial(inf)", "A|B"], "theta must be finite, got inf"),
+            (["schmidt", "partial(1e400)", "A|B"], "theta must be finite, got inf"),
+            (["box-eval", "{file}", "chsh"], "state norm inf too far from 1"),
+        ],
+    )
+    def test_no_numpy_warning_before_the_error(self, capsys, tmp_path, argv, named):
+        path = tmp_path / "overflow.txt"
+        path.write_text("1\n0.0 1.3407807929942597e+154\n")
+        code, out, err = run(capsys, *[str(path) if a == "{file}" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and named in lines[0]
+
 
 # ---------------------------------------------------------------------------
 # Every command line drawn from the subcommand table ends in exit 0 or 2

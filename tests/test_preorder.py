@@ -280,6 +280,21 @@ class TestCompareBipartite:
                 assert majorizes(l_phi, l_psi)
         assert seen_convertible > 10
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0),
+        shifts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_pair_with_no_direction_ruled_out_is_equivalent(self, weights, shifts):
+        # Spectra within 2 eps_match of each other, straddling the matching
+        # tolerance: when both directions factor, the spectra match.
+        lam = np.array(weights) / sum(weights)
+        delta = np.array(shifts[: lam.size]) * config.current().eps_match
+        mu = np.abs(lam + delta - delta.mean())
+        v = compare(state_with_spectrum(lam), state_with_spectrum(mu / mu.sum()))
+        if not (v.forward.ruled_out or v.backward.ruled_out):
+            assert v.direction == Direction.EQUIVALENT
+
 
 class TestMultipartite:
     def test_ghz_vs_two_bell(self):

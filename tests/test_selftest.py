@@ -40,6 +40,13 @@ class TestFlagConstruction:
         with pytest.raises(ValueError):
             FlagConstruction(catalog.phi_plus(), np.array([[1.0]]), (bad,), (I2,))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_unitary_refused(self, entry):
+        # NaN made the unitarity deviation NaN, which passed a "> eps" test
+        bad = np.array([[1, 0], [0, entry]], dtype=complex)
+        with pytest.raises(ValueError, match="non-unitary operator on side B"):
+            FlagConstruction(catalog.phi_plus(), np.array([[1.0]]), (I2,), (bad,))
+
     def test_validates_distribution(self):
         with pytest.raises(ValueError):
             FlagConstruction(catalog.phi_plus(), np.array([[0.7]]), (I2,), (I2,))
@@ -47,6 +54,25 @@ class TestFlagConstruction:
     def test_needs_bipartite_base(self):
         with pytest.raises(ValueError):
             FlagConstruction(catalog.ghz(), np.array([[1.0]]), (I2,), (I2,))
+
+    def test_unitaries_stored_as_read_only_stacks(self, rng):
+        ua = [random_unitary(rng, 3) for _ in range(2)]
+        fc = FlagConstruction(random_pure(rng, (3, 2)), np.full((2, 1), 0.5), ua, (I2,))
+        assert fc.unitaries_a.shape == (2, 3, 3) and fc.unitaries_b.shape == (1, 2, 2)
+        assert np.array_equal(fc.unitaries_a, np.stack(ua))
+        for stack in (fc.unitaries_a, fc.unitaries_b):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
+        assert all(u.flags.writeable for u in ua)  # the caller's matrices are copied
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_ragged_unitaries_name_their_side(self, side):
+        ragged = (I2, np.eye(3, dtype=complex))
+        sides = (ragged, (I2,)) if side == "A" else ((I2,), ragged)
+        dist = np.full((len(sides[0]), len(sides[1])), 0.5)
+        with pytest.raises(ValueError, match=f"unitary on side {side} must be 2x2"):
+            FlagConstruction(catalog.phi_plus(), dist, *sides)
 
     def test_dist_factorizes(self, rng):
         fc = random_fc(rng, catalog.phi_plus(), factorized=True)
@@ -138,6 +164,18 @@ class TestFlagChannels:
         via_channel = apply_channel(fc.base_state.density(), fam)
         direct = flag_mixed_state(fc)
         assert np.max(np.abs(via_channel.matrix - direct.matrix)) <= 1e-12
+
+    def test_joint_channel_has_one_component_per_alice_flag(self, rng):
+        # flag 1 of Alice never occurs, and flag pairs (0, 2) and (2, 0) neither
+        dist = np.array([[0.3, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.2, 0.4]])
+        fc = random_fc(rng, random_pure(rng, (2, 3)), fa=3, fb=3)
+        fc = FlagConstruction(fc.base_state, dist, fc.unitaries_a, fc.unitaries_b)
+        fam, needs_sr = forward_channel(fc)
+        assert needs_sr
+        assert [w for w, _ in fam.components] == pytest.approx([0.4, 0.6], abs=1e-15)
+        via_channel = apply_channel(fc.base_state.density(), fam)
+        assert np.max(np.abs(via_channel.matrix - flag_mixed_state(fc).matrix)) <= 1e-12
+        assert flag_roundtrip_check(fc)
 
     def test_roundtrip_randomized(self, rng):
         for base in (catalog.phi_plus(), catalog.partial(np.pi / 8)):
