@@ -10,9 +10,12 @@ nonlocal ones.
 from __future__ import annotations
 
 import functools
+import io
 import math
+import operator
+import os
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import filterfalse, islice, product
 
 import numpy as np
 
@@ -42,6 +45,9 @@ MAX_LP_ENTRIES = 2**25
 # alpha/2, so the value's rounding error grows with |alpha|: 2.2e-11 at this
 # cap on the Tsirelson box, 0.11 at 1e15, and by 1e17 the CHSH part is gone.
 MAX_TILT = 1e6
+# Entries parsed per block of a state or box file: a block's tokens live as
+# Python strings, about 60 bytes each, only until its ``np.array`` call.
+_TEXT_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,13 +417,64 @@ def uniform_box(settings_per_party, outcomes_per_party) -> Box:
 # Box files: header `n_parties settings... outcomes...`, then one row per
 # settings tuple (lexicographic), its distribution in lexicographic outcome order.
 
-def _read_text(path) -> tuple[tuple[int, ...], list[str]]:
-    """The header's integers and the stripped non-blank lines after it."""
+def _read_text(path, layout) -> tuple[tuple[int, ...], np.ndarray]:
+    """The header's integers and the body rows as one ``(rows, width)`` array.
+
+    A first pass counts the non-blank body lines.  ``layout(header, rows)``
+    then runs the caller's header and count checks and returns ``(width,
+    check_row)``, and only after it has passed is the array allocated and
+    filled, one ``np.array`` call per block of lines.  ``check_row(i,
+    tokens)`` raises the caller's message for a row of the wrong length; a
+    block that does not parse is read again line by line, so the first bad
+    row in file order raises that message or ``float``'s own.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty file: {path}")
-    return tuple(int(v) for v in lines[0].split()), lines[1:]
+        # A pipe, which can be read only once, and a file no larger than one
+        # block's floats are read whole; the two passes then run in memory.
+        size = os.fstat(fh.fileno()).st_size if fh.seekable() else None
+        if size is None or size <= 8 * _TEXT_BLOCK_ENTRIES:
+            text = fh.read()
+            fh, size = io.StringIO(text), len(text)
+        first = next(filterfalse(str.isspace, fh), None)
+        if first is None:
+            raise ValueError(f"empty file: {path}")
+        n_rows = operator.countOf(map(str.isspace, fh), False)
+        head = tuple(int(v) for v in first.split())
+        width, check_row = layout(head, n_rows)
+        # A row of w entries takes at least 2w characters, so in a file shorter
+        # than that some row is short, and it is reported below before anything
+        # of the size the header asks for is allocated.
+        fits = 2 * n_rows * width <= size + 1
+        rows = np.empty((n_rows if fits else 0, width))
+        fh.seek(0)
+        body = filterfalse(str.isspace, fh)
+        next(body)
+        step = max(1, _TEXT_BLOCK_ENTRIES // width)
+        for start in range(0, n_rows, step):
+            block = _parse_rows(list(islice(body, step)), start, width, check_row)
+            if fits:
+                rows[start : start + step] = block.reshape(-1, width)
+    return head, rows
+
+
+def _parse_rows(lines, start, width, check_row) -> np.ndarray:
+    """The floats of ``lines``, ``width`` to a line, in one flat array."""
+    # With one ";" token between lines, the lines hold ``width`` entries each
+    # exactly when every (width+1)-th token is a ";" and no other token is:
+    # a stray ";" does not parse as a float.
+    tokens = " ; ".join(lines).split()
+    if len(tokens) == (width + 1) * len(lines) - 1 and tokens[width :: width + 1].count(";") == len(lines) - 1:
+        del tokens[width :: width + 1]
+        try:
+            return np.array(tokens, dtype=float)
+        except ValueError:
+            pass
+    rows = []
+    for i, line in enumerate(lines, start):
+        tokens = line.split()
+        check_row(i, tokens)
+        rows.append(np.array(tokens, dtype=float))
+    return np.concatenate(rows)
 
 
 def _write_text(path, header, rows) -> None:
@@ -432,20 +489,22 @@ def save_box(path, b: Box) -> None:
 
 
 def load_box(path) -> Box:
-    head, lines = _read_text(path)
-    n = head[0]
-    if len(head) != 1 + 2 * n:
-        raise ValueError(f"{path}: header needs n_parties, {n} settings and {n} outcomes")
-    settings, outcomes = head[1 : 1 + n], head[1 + n :]
-    if min(settings + outcomes, default=0) < 1:
-        raise ValueError(f"{path}: header needs at least one party, with positive settings and outcomes")
-    n_rows = math.prod(settings)
-    if len(lines) != n_rows:
-        raise ValueError(f"{path}: expected {n_rows} distribution rows, got {len(lines)}")
-    rows = [np.array([float(v) for v in ln.split()]) for ln in lines]
-    # Every row is checked before the table is built, so a header naming a
-    # huge scenario fails on its short rows instead of allocating the table.
-    for row, xs in zip(rows, product(*[range(s) for s in settings])):
-        if row.size != math.prod(outcomes):
-            raise ValueError(f"{path}: row for settings {xs} has wrong length")
-    return Box(np.array(rows).reshape(settings + outcomes))
+    def layout(head, n_rows):
+        n = head[0]
+        if len(head) != 1 + 2 * n:
+            raise ValueError(f"{path}: header needs n_parties, {n} settings and {n} outcomes")
+        settings, outcomes = head[1 : 1 + n], head[1 + n :]
+        if min(settings + outcomes, default=0) < 1:
+            raise ValueError(f"{path}: header needs at least one party, with positive settings and outcomes")
+        if n_rows != math.prod(settings):
+            raise ValueError(f"{path}: expected {math.prod(settings)} distribution rows, got {n_rows}")
+
+        def check_row(i, tokens):
+            if len(tokens) != math.prod(outcomes):
+                xs = tuple(int(v) for v in np.unravel_index(i, settings))
+                raise ValueError(f"{path}: row for settings {xs} has wrong length")
+
+        return math.prod(outcomes), check_row
+
+    head, rows = _read_text(path, layout)
+    return Box(rows.reshape(head[1:]))

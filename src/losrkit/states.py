@@ -300,8 +300,8 @@ class LocalChannelFamily:
                 stack = np.stack(ops)
                 if not np.all(np.isfinite(stack)):
                     raise ValueError("Kraus operators must be finite")
-                comp = sum(k.conj().T @ k for k in stack)
-                if float(np.max(np.abs(comp - np.eye(stack.shape[2])))) > eps:
+                flat = stack.reshape(-1, stack.shape[2])  # sum_k K_k^dagger K_k in one product
+                if float(np.max(np.abs(flat.conj().T @ flat - np.eye(stack.shape[2])))) > eps:
                     raise ValueError("Kraus operators are not trace preserving")
                 stack.setflags(write=False)
                 stacks.append(stack)
@@ -410,15 +410,6 @@ def schmidt_spectrum(psi: PureState, beta: Bipartition) -> SchmidtSpectrum:
     return SchmidtSpectrum(evals / evals.sum())
 
 
-def _conjugate_local(t: np.ndarray, kraus: np.ndarray, p: int) -> np.ndarray:
-    """sum_k K_k rho K_k^dagger on party p of a ``[rows..., cols...]`` tensor,
-    for a ``(k, d_out, d_in)`` Kraus stack; party p's axes stay in place."""
-    n = t.ndim // 2
-    t = np.tensordot(kraus, t, axes=([2], [p]))  # [k, row p, rows != p, cols]
-    t = np.tensordot(t, kraus.conj(), axes=([0, n + 1 + p], [0, 2]))
-    return np.moveaxis(t, [0, -1], [p, n + p])
-
-
 def _local_expectations(rho: DensityMatrix, stacks) -> np.ndarray:
     """T[k_1..k_n] = Tr[rho (stacks_1[k_1] x ... x stacks_n[k_n])] for
     ``(k_p, d_p, d_p)`` operator stacks, contracted one party at a time."""
@@ -428,21 +419,98 @@ def _local_expectations(rho: DensityMatrix, stacks) -> np.ndarray:
     return t
 
 
+def _stack_group(stacks) -> np.ndarray:
+    """The Kraus stacks of a group of components as one ``(g, k, d_out, d_in)``
+    array; shorter stacks are padded with zero operators, which add nothing."""
+    if len(stacks) == 1:
+        return stacks[0][None]
+    out = np.zeros((len(stacks), max(map(len, stacks)), *stacks[0].shape[1:]), dtype=complex)
+    for c, stack in enumerate(stacks):
+        out[c, : len(stack)] = stack
+    return out
+
+
 def apply_channel(rho: DensityMatrix, ch: LocalChannelFamily) -> DensityMatrix:
-    """Convex mixture over the family of the tensor-product channel action."""
+    """Convex mixture over the family of the tensor-product channel action.
+
+    The state is held as ``[row_0, col_0, row_1, col_1, ...]`` behind a batch
+    axis over components.  Party by party, one step contracts the row/column
+    pair at the front and appends the output pair at the back, so each step
+    is a matrix product on contiguous data: the first step creates the batch
+    axis and the last one sums it, with the mixing weights.
+
+    One size rule picks each party's path.  With ``rest`` the number of
+    entries over the other parties' axes, a ``(k, d_out, d_in)`` Kraus stack
+    is applied as its superoperator sum_k K_k (x) conj(K_k) when
+    ``d_out*d_in*(k + rest) < k*(d_out + d_in)*rest``, that is, when building
+    it (k d_out^2 d_in^2 multiply-adds) and applying it (d_out^2 d_in^2 rest)
+    costs less than the two Kraus products (k d_out d_in (d_out + d_in) rest).
+    Otherwise the Kraus products are applied.
+
+    Components go through in groups whose tensors, added up, are no larger
+    than the largest tensor the Kraus products need for one component.  So
+    batching never costs memory, and a family whose parties all take the
+    Kraus path runs one component at a time.
+    """
     if ch.input_dims != rho.party_dims:
         raise ValueError(
             f"channel input dims {ch.input_dims} do not match state dims {rho.party_dims}"
         )
-    t_in = rho.matrix.reshape(rho.party_dims * 2)
-    out = 0.0
-    for weight, per_party in ch.components:
-        t = weight * t_in
-        for p, kraus in enumerate(per_party):
-            t = _conjugate_local(t, kraus, p)
-        out += t
-    d_out = math.prod(ch.output_dims)
-    return DensityMatrix(ch.output_dims, out.reshape(d_out, d_out))
+    n, dims_in, dims_out = rho.n_parties, rho.party_dims, ch.output_dims
+    weights = np.array([w for w, _ in ch.components])
+    by_superop, kraus_need, need = [], 1, 1
+    for p in range(n):
+        k = max(len(per_party[p]) for _, per_party in ch.components)
+        d_out, d_in = dims_out[p], dims_in[p]
+        rest = math.prod(dims_out[:p]) ** 2 * math.prod(dims_in[p + 1 :]) ** 2
+        by_superop.append(d_out * d_in * (k + rest) < k * (d_out + d_in) * rest)
+        # Entries per component: the Kraus path's product and output, against
+        # the chosen path's operator or product and its output (the last
+        # party's output is summed over the group, not held per component).
+        kraus_need = max(kraus_need, max(k * d_out * d_in, d_out * d_out) * rest)
+        need = max(need, d_in * d_in * d_out * d_out if by_superop[p] else k * d_out * d_in * rest)
+        if p < n - 1:
+            need = max(need, d_out * d_out * rest)
+    group = max(1, kraus_need // need)
+    # [row_0, col_0, row_1, col_1, ...] as one batch entry
+    x = rho.matrix.reshape(dims_in * 2).transpose([a for p in range(n) for a in (p, n + p)]).reshape(1, -1)
+    out = None
+    for start in range(0, len(weights), group):
+        t, members = x, ch.components[start : start + group]
+        for p in range(n):
+            kraus = _stack_group([per_party[p] for _, per_party in members])
+            # conj[g, k, d_in, d_out] = conj(K[g, k, d_out, d_in]), weighted on the first party
+            conj = np.conjugate(kraus.transpose(0, 1, 3, 2), order="C")
+            if p == 0:
+                conj *= weights[start : start + group, None, None, None]
+            (b, _), (g, k, d_out, d_in) = t.shape, kraus.shape
+            if by_superop[p]:
+                # sum_k K[a, c] conj(K[b, d]) as [(a, c), (d, b)], reordered to [(c, d), (a, b)]
+                sup = kraus.reshape(g, k, -1).transpose(0, 2, 1) @ conj.reshape(g, k, -1)
+                sup = sup.reshape(g, d_out, d_in, d_in, d_out).transpose(0, 2, 3, 1, 4).reshape(g, d_in * d_in, -1)
+                t = t.reshape(b, d_in * d_in, -1)
+                if p < n - 1:  # [g, rest, (c, d)] @ [g, (c, d), (a, b)]
+                    t = (t.transpose(0, 2, 1) @ sup).reshape(g, -1)
+                else:  # [rest, (g, c, d)] @ [(g, c, d), (a, b)]
+                    if b < g:  # a single party: no batch axis was made, so sum the operators
+                        sup = sup.sum(axis=0, keepdims=True)
+                    t = t.reshape(-1, t.shape[2]).T @ sup.reshape(-1, d_out * d_out)
+            else:
+                # [g, k, row out, col in, rest]: the row's product, then the column's
+                t = (kraus.reshape(g, k * d_out, d_in) @ t.reshape(b, d_in, -1)).reshape(g, k, d_out, d_in, -1)
+                if p < n - 1:  # [g, rest, row out, (k, col in)] @ [g, (k, col in), col out]
+                    t = t.transpose(0, 4, 2, 1, 3).reshape(g, -1, k * d_in) @ conj.reshape(g, -1, d_out)
+                    t = t.reshape(g, -1)
+                else:  # [rest, row out, (g, k, col in)] @ [(g, k, col in), col out]
+                    t = t.transpose(4, 2, 0, 1, 3).reshape(-1, g * k * d_in) @ conj.reshape(-1, d_out)
+        if out is None:
+            out = t
+        else:
+            out += t
+    del x, t
+    d = math.prod(dims_out)
+    out = out.reshape([e for q in dims_out for e in (q, q)]).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return DensityMatrix(dims_out, out.reshape(d, d))
 
 
 def born_box(state: DensityMatrix, meas):
@@ -483,15 +551,24 @@ def save_state(path, state: PureState | DensityMatrix) -> None:
 
 
 def load_state(path) -> PureState | DensityMatrix:
-    head, lines = _read_text(path)
+    def layout(head, n_rows):
+        total = math.prod(_as_party_dims(head))
+        if n_rows not in (total, total * total):
+            raise ValueError(
+                f"{path}: {n_rows} entries match neither a pure state ({total}) "
+                f"nor a density matrix ({total * total})"
+            )
+        return 2, _re_im
+
+    head, rows = _read_text(path, layout)
     dims = _as_party_dims(head)
+    entries = rows.view(complex).reshape(-1)
     total = math.prod(dims)
-    if len(lines) not in (total, total * total):
-        raise ValueError(
-            f"{path}: {len(lines)} entries match neither a pure state ({total}) "
-            f"nor a density matrix ({total * total})"
-        )
-    entries = np.array([complex(float(re_s), float(im_s)) for re_s, im_s in map(str.split, lines)])
-    if len(lines) == total:
+    if entries.size == total:
         return PureState(dims, entries)
     return DensityMatrix(dims, entries.reshape(total, total))
+
+
+def _re_im(i: int, tokens: list[str]) -> None:
+    """A state row is ``re im``: unpacking names any other count."""
+    re_s, im_s = tokens

@@ -206,6 +206,18 @@ class TestFlagChannels:
         fc = random_fc(rng, catalog.partial(0.6), fa=3, fb=2)
         assert flag_roundtrip_check(fc)
 
+    @pytest.mark.parametrize("factorized", [False, True], ids=["joint", "factorized"])
+    @pytest.mark.parametrize("d, flags", [(2, 2), (3, 2), (3, 4), (3, 6)])
+    def test_benchmark_flag_shapes_match_the_direct_construction(self, rng, d, flags, factorized):
+        # the flag shapes of the decide benchmark, each way round
+        fc = random_fc(rng, random_pure(rng, (d, d)), flags, flags, factorized)
+        fam, needs_sr = forward_channel(fc)
+        assert needs_sr is not factorized
+        rho = flag_mixed_state(fc)
+        assert np.max(np.abs(apply_channel(fc.base_state.density(), fam).matrix - rho.matrix)) <= 1e-12
+        back = apply_channel(rho, backward_channel(fc))
+        assert np.max(np.abs(back.matrix - fc.base_state.density().matrix)) <= 1e-12
+
     @pytest.mark.parametrize("fa, fb, factorized", [(2, 2, False), (2, 2, True), (3, 1, False), (1, 4, True)])
     def test_backward_kraus_are_the_explicit_adjoints(self, rng, fa, fb, factorized):
         fc = random_fc(rng, random_pure(rng, (3, 2)), fa, fb, factorized)

@@ -4,11 +4,12 @@ import sys
 import textwrap
 import tracemalloc
 from functools import reduce
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from losrkit import (
@@ -32,7 +33,7 @@ from losrkit import (
     tensor_product,
 )
 from losrkit import states
-from conftest import random_density, random_pure, random_unitary
+from conftest import random_density, random_pure, random_unitary, run_fresh
 from oracles import state_with_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -364,6 +365,27 @@ class TestSchmidtSpectrum:
         assert np.allclose(got, expect, atol=1e-9)
 
 
+def random_kraus(rng, n_ops, d_out, d_in):
+    """A Kraus stack from the blocks of a random isometry (n_ops * d_out >= d_in)."""
+    g = rng.standard_normal((n_ops * d_out, d_in)) + 1j * rng.standard_normal((n_ops * d_out, d_in))
+    q, _ = np.linalg.qr(g)
+    return tuple(q[k * d_out : (k + 1) * d_out] for k in range(n_ops))
+
+
+@st.composite
+def channel_specs(draw):
+    """Party dims in and out (1-4), Kraus counts per component and party
+    (1-6, enough for an isometry), and a seed for the operators and state."""
+    n = draw(st.integers(1, 3))
+    dims_in = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    dims_out = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    n_ops = draw(st.lists(
+        st.tuples(*[st.integers(-(-d_in // d_out), 6) for d_in, d_out in zip(dims_in, dims_out)]).map(list),
+        min_size=1, max_size=4,
+    ))
+    return dims_in, dims_out, n_ops, draw(st.integers(0, 2**32 - 1))
+
+
 def depolarizing_kraus(d: int = 2):
     paulis = [
         np.eye(2, dtype=complex),
@@ -442,6 +464,67 @@ class TestChannels:
         eye = (np.eye(2, dtype=complex),)
         with pytest.raises(ValueError):
             LocalChannelFamily(((0.5, (eye,)),))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_trace_preservation_tolerance(self, factor, accepted):
+        # sum_k K_k^dagger K_k = (1 + delta) I, so the deviation is delta
+        delta = factor * config.current().eps_norm
+        ops = (np.sqrt((1 + delta) / 2) * np.eye(2), np.sqrt((1 + delta) / 2) * np.diag([1.0, -1.0]))
+        make = lambda: LocalChannelFamily.from_local_kraus((ops, (np.eye(2),)))  # noqa: E731
+        if accepted:
+            make()
+        else:
+            with pytest.raises(ValueError, match="Kraus operators are not trace preserving"):
+                make()
+
+    @settings(max_examples=100, deadline=None)
+    @given(channel_specs())
+    # Which path each party takes, by the rule in the docstring of apply_channel:
+    # both parties by superoperator (two qubits, 2-Kraus channels, 2 components)
+    @example(((2, 2), (2, 2), [[2, 2], [2, 2]], 1))
+    # Kraus products only: one qutrit, so three components go one at a time
+    @example(((3,), (3,), [[1], [2], [3]], 2))
+    # superoperator on party 0, Kraus products on party 1; rectangular stacks,
+    # and party 0's stacks padded from 2 to 3 operators
+    @example(((2, 4), (3, 4), [[2, 1], [3, 2]], 3))
+    def test_matches_kronecker_sum_on_both_paths(self, spec):
+        dims_in, dims_out, n_ops, seed = spec
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(len(n_ops)))
+        components = tuple(
+            (w, tuple(random_kraus(rng, k, d_out, d_in) for k, d_out, d_in in zip(ks, dims_out, dims_in)))
+            for w, ks in zip(weights, n_ops)
+        )
+        rho = random_density(rng, dims_in)
+        sides = []
+        for p, (d_out, d_in) in enumerate(zip(dims_out, dims_in)):
+            k = max(ks[p] for ks in n_ops)
+            rest = np.prod(dims_out[:p], dtype=int) ** 2 * np.prod(dims_in[p + 1 :], dtype=int) ** 2
+            sides.append("superoperator" if d_out * d_in * (k + rest) < k * (d_out + d_in) * rest else "kraus")
+        event(" ".join(sides))
+        expect = sum(
+            w * (op @ rho.matrix @ op.conj().T)
+            for w, per_party in components
+            for op in map(kron_all, product(*per_party))
+        )
+        out = apply_channel(rho, LocalChannelFamily(components))
+        assert out.party_dims == dims_out
+        assert np.max(np.abs(out.matrix - expect)) < 1e-12
+
+    def test_memory_bounded_on_a_large_state(self, rng):
+        # (2, 256) under two components with a 2-Kraus channel on party 1:
+        # the one-component-at-a-time Kraus contraction peaked at 8 times the
+        # state's bytes, and batching components must not add to that.
+        rho = DensityMatrix((2, 256), np.eye(512) / 512)
+        ch = LocalChannelFamily(tuple((0.5, ((np.eye(2),), random_kraus(rng, 2, 256, 256))) for _ in range(2)))
+        tracemalloc.start()
+        try:
+            out = apply_channel(rho, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.party_dims == (2, 256)
+        assert peak <= 8 * rho.matrix.nbytes
 
 
 class TestBornBox:
@@ -580,6 +663,46 @@ class TestStateFiles:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1.0 0.0\n0.0 0.0\n")
         with pytest.raises(ValueError):
+            load_state(path)
+
+    def test_density_load_memory_bounded(self, tmp_path):
+        # (I + J) / 2048 over (32, 32): 2**20 entries in 19 MB of text, a 16 MiB
+        # matrix.  Holding every line as a string and then a Python complex
+        # raised ru_maxrss by about 160 MB; the block reader stays near the
+        # matrix and the one copy the PSD check makes.
+        n = 1024
+        diag, off = f"{1 / n!r} 0.0\n", f"{0.5 / n!r} 0.0\n"
+        path = tmp_path / "rho.txt"
+        path.write_text("32 32\n" + "".join(off * i + diag + off * (n - 1 - i) for i in range(n)))
+        seen = run_fresh(f"""
+        import json, resource
+        import numpy as np
+        from losrkit import DensityMatrix, load_state
+
+        DensityMatrix((2,), np.eye(2) / 2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rho = load_state({str(path)!r})
+        rise_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+        expect = (np.eye({n}) + np.ones(({n}, {n}))) / {2 * n}
+        exact = bool(np.array_equal(rho.matrix, expect))
+        print(json.dumps({{"rise_mb": rise_mb, "dims": rho.party_dims, "exact": exact}}))
+        """)
+        assert seen["dims"] == [32, 32] and seen["exact"]
+        assert seen["rise_mb"] < 64
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("0.5 0.0 0.0\n0.5\n0.5 0.0\n0.5 0.0\n", "too many values to unpack"),
+            ("0.5 0.0\n0.5\n0.5 0.0 0.0\n0.5 0.0\n", "not enough values to unpack"),
+            ("0.5 0.0\n0.5 ;\n0.5 0.0\n0.5 0.0\n", "could not convert string to float: ';'"),
+        ],
+    )
+    def test_row_lengths_checked_line_by_line(self, tmp_path, body, named):
+        # Each file holds the 8 numbers a (2, 2) state needs, in rows of the wrong length
+        path = tmp_path / "ragged.txt"
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ValueError, match=named):
             load_state(path)
 
 
