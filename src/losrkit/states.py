@@ -15,6 +15,11 @@ re-running the constructor checks.  Every other result (channel outputs,
 partial traces, tensor products, file and literal input) is validated, since
 its validity holds only within tolerances that add up.
 
+The PSD check of a checked density matrix is one Cholesky factorization:
+numpy's up to 256 dimensions, so the mixed states of the monotones and
+their channel outputs load no scipy module, and LAPACK's in-place zpotrf
+from scipy.linalg, imported on first use, above.
+
 Dense eigendecompositions cap the practical total dimension at a few thousand;
 everything here is meant for desk-scale checks, not bulk simulation.
 """
@@ -33,9 +38,12 @@ from .boxes import Box, _read_text, _write_text
 # Auto-normalization threshold: small drifts are repaired with a warning,
 # anything larger is treated as a malformed input rather than rescaled away.
 NORM_REPAIR_LIMIT = 1e-3
-# Entries per row block of the Hermiticity check, which holds three
-# temporaries of one block's size (2**16 complex entries are 1 MiB).
-_HERM_BLOCK_ENTRIES = 2**16
+# Entries per row block of the Hermiticity check, which holds two temporaries
+# of one block's size (2**14 complex entries are 256 KiB, so they stay in cache).
+_HERM_BLOCK_ENTRIES = 2**14
+# Entries of the largest matrix whose PSD check runs in numpy (n <= 256): its
+# Cholesky makes two working copies of the matrix, 1 MiB each at most.
+_NUMPY_CHOLESKY_ENTRIES = 2**16
 
 
 def _as_party_dims(party_dims) -> tuple[int, ...]:
@@ -48,14 +56,40 @@ def _as_party_dims(party_dims) -> tuple[int, ...]:
 
 
 def _hermitian_deviation(mat: np.ndarray) -> float:
-    """max |m_ij - conj(m_ji)|, compared in row blocks of bounded size."""
+    """max |m_ij - conj(m_ji)|, compared in row blocks of bounded size.
+
+    A row block is compared with its mirror only from its diagonal block on,
+    so each pair outside the diagonal blocks is compared once."""
     n = mat.shape[0]
     rows = max(1, _HERM_BLOCK_ENTRIES // n)
     dev = 0.0
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        dev = max(dev, float(np.max(np.abs(mat[block] - mat[:, block].conj().T))))
+        diff = mat[start:, block].conj()  # conj(m_ji) for j >= start, i in the block
+        diff -= mat[block, start:].T  # minus m_ij
+        dev = max(dev, float(np.max(np.abs(diff))))
     return dev
+
+
+def _cholesky_succeeds(shifted: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of the lower triangle of the
+    Fortran-ordered ``shifted`` succeeds (it may overwrite ``shifted``).
+
+    A matrix of at most ``_NUMPY_CHOLESKY_ENTRIES`` entries is factored by
+    numpy, so the mixed-state paths of small states load no scipy module.
+    A larger one is factored in place by LAPACK's zpotrf, from scipy.linalg
+    imported here on first use: numpy would make two more copies of the
+    matrix and take 1.5 to 3 times as long.
+    """
+    if shifted.size <= _NUMPY_CHOLESKY_ENTRIES:
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    from scipy.linalg import lapack
+
+    return lapack.zpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,15 +162,12 @@ class DensityMatrix:
         tr_dev = abs(complex(np.trace(mat)) - 1.0)
         if tr_dev > eps:
             raise ValueError(f"trace deviates from 1 by {tr_dev:.3g}")
-        # PSD within eps at every size: Cholesky of one shifted copy, factored in
-        # place (the transpose is Fortran-ordered and, for a Hermitian matrix,
-        # the conjugate, of equal spectrum); eigvalsh only names a failure.
-        # scipy.linalg is imported here, so pure-state paths never load it.
-        from scipy.linalg import lapack
-
+        # PSD within eps at every size: Cholesky of one shifted copy (the
+        # transpose is Fortran-ordered and, for a Hermitian matrix, the
+        # conjugate, of equal spectrum); eigvalsh only names a failure.
         shifted = mat.T.copy(order="F")
         shifted[np.diag_indices(total)] += eps
-        if lapack.zpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] != 0:
+        if not _cholesky_succeeds(shifted):
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < -eps:
                 raise ValueError(f"matrix has negative eigenvalue {lo:.3g}")

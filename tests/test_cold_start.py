@@ -1,12 +1,17 @@
 """What a fresh interpreter loads, and what its first calls return.
 
 scipy.optimize is imported by the first LP solve and scipy.linalg by the
-first density matrix that the constructor checks: one from a file, a literal
-matrix or a channel output.  A pure state's ``density()`` is not re-checked,
-so pure-state yields, ``demo anomaly`` and a ``selftest-scan`` over pure
+first density matrix above 256 dimensions that the constructor checks: the
+PSD check of a smaller one runs in numpy.  So pure-state and small mixed-state
+yields, channel outputs, ``demo anomaly`` and a ``selftest-scan`` over pure
 candidates load no scipy module.  Each check runs in its own interpreter:
 this suite's process has loaded both long before any test runs.
 """
+
+import textwrap
+
+import numpy as np
+import pytest
 
 from conftest import run_fresh
 
@@ -52,48 +57,96 @@ class TestScipyLoadedOnDemand:
         }
 
 
+def run_fresh_recording_checks(script: str) -> dict:
+    """``run_fresh`` with the constructor's Cholesky step wrapped, so that
+    ``checks`` lists each PSD check made: its matrix size, and whether the
+    factorization succeeded."""
+    recorder = """
+    from losrkit import states
+
+    checks = []
+
+    def recorded(shifted, factor=states._cholesky_succeeds):
+        checks.append([shifted.shape[0], factor(shifted)])
+        return checks[-1][1]
+
+    states._cholesky_succeeds = recorded
+    """
+    return run_fresh(textwrap.dedent(recorder) + textwrap.dedent(script))
+
+
 class TestFirstCallsInFreshProcess:
     def test_first_density_matrix_still_checks_psd(self):
-        seen = run_fresh(
+        seen = run_fresh_recording_checks(
             """
             import json, sys
             import numpy as np
             from losrkit import DensityMatrix
 
-            before = "scipy.linalg" in sys.modules
             try:
                 DensityMatrix((2,), np.diag([1.5, -0.5]))
                 error = None
             except ValueError as exc:
                 error = str(exc)
-            print(json.dumps({"before": before, "error": error, "after": "scipy.linalg" in sys.modules}))
+            print(json.dumps({"checks": checks, "error": error, "scipy": "scipy" in sys.modules}))
             """
         )
-        assert not seen["before"]
+        assert seen["checks"] == [[2, False]]
         assert seen["error"] is not None and "negative eigenvalue" in seen["error"]
-        assert seen["after"]
+        assert not seen["scipy"]
 
     def test_flag_mixed_state_checks_its_first_matrix(self):
         # The flagged state is assembled entry by entry, so the constructor
         # checks it; only its regrouping skips the checks.
-        seen = run_fresh(
+        seen = run_fresh_recording_checks(
             """
-            import json, sys
+            import json
             import numpy as np
             from losrkit import catalog
             from losrkit.selftest import FlagConstruction, flag_mixed_state
 
             fc = FlagConstruction(catalog.phi_plus(), np.full((2, 2), 0.25),
                                   (np.eye(2), np.diag([1.0, -1.0])), (np.eye(2), np.eye(2)[::-1]))
-            before = "scipy.linalg" in sys.modules
             rho = flag_mixed_state(fc)
-            print(json.dumps({"before": before, "dims": rho.party_dims,
-                              "after": "scipy.linalg" in sys.modules}))
+            print(json.dumps({"checks": checks, "dims": rho.party_dims}))
             """
         )
-        assert not seen["before"]
+        assert seen["checks"] == [[16, True]]
         assert seen["dims"] == [4, 4]
-        assert seen["after"]
+
+    def test_small_mixed_states_load_no_scipy(self):
+        seen = run_fresh(
+            """
+            import json, sys
+            import numpy as np
+            from losrkit import CHSH, DensityMatrix, LocalChannelFamily, apply_channel, catalog, optimize_yield
+            from losrkit.selftest import FlagConstruction, flag_mixed_state
+
+            def loaded():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            seen = {}
+            rho = DensityMatrix((2, 2), 0.8 * catalog.phi_plus().density().matrix + 0.05 * np.eye(4))
+            seen["literal"] = loaded()
+            noise = LocalChannelFamily.from_local_kraus(
+                [[np.sqrt(0.9) * np.eye(2), np.sqrt(0.1) * np.diag([1.0, -1.0])], [np.eye(2)]])
+            out = apply_channel(rho, noise)
+            seen["channel"] = loaded()
+            fc = FlagConstruction(catalog.phi_plus(), np.full((2, 2), 0.25),
+                                  (np.eye(2), np.diag([1.0, -1.0])), (np.eye(2), np.eye(2)[::-1]))
+            flag_mixed_state(fc)
+            seen["flag"] = loaded()
+            seen["value"] = optimize_yield(out, CHSH()).value
+            seen["yield"] = loaded()
+            n = 324
+            DensityMatrix((18, 18), np.eye(n) / n)
+            seen["324"] = "scipy.linalg" in sys.modules
+            print(json.dumps(seen))
+            """
+        )
+        assert seen.pop("324")
+        assert seen.pop("value") == pytest.approx(2 * 0.8 * np.sqrt(1 + 0.8**2), abs=1e-6)  # Horodecki bound
+        assert seen == {"literal": [], "channel": [], "flag": [], "yield": []}
 
     def test_first_local_membership_matches_second(self):
         seen = run_fresh(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -120,16 +121,53 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix((n,), m)
 
+    # The PSD check factors with numpy up to _NUMPY_CHOLESKY_ENTRIES entries
+    # and with scipy's zpotrf above; a verdict must not depend on the side.
+    @pytest.mark.parametrize("side", [0, 1], ids=["numpy", "zpotrf"])
+    def test_psd_verdicts_on_both_sides_of_the_size_rule(self, rng, side):
+        n = math.isqrt(states._NUMPY_CHOLESKY_ENTRIES) + side
+        eps = config.current().eps_norm
+        u = random_unitary(rng, n)
+
+        def rotated(spectrum):
+            m = (u * spectrum) @ u.conj().T
+            return (m + m.conj().T) / 2
+
+        rest = np.linspace(1.0, 2.0, n - 1)
+        with pytest.raises(ValueError, match=r"negative eigenvalue -2e-09"):
+            DensityMatrix((n,), rotated(np.append(-2 * eps, rest * (1 + 2 * eps) / rest.sum())))
+        DensityMatrix((n,), rotated(np.append(-eps / 2, rest * (1 + eps / 2) / rest.sum())))
+        half = np.arange(n) % 2 * rest[0]
+        DensityMatrix((n,), rotated(half / half.sum()))  # rank n // 2
+        psi = u[:, 0]
+        DensityMatrix((n,), np.outer(psi, psi.conj()))  # rank 1
+
+    @pytest.mark.parametrize("n", [16, 257])
+    def test_cholesky_reads_the_lower_triangle_on_both_paths(self, rng, n):
+        # I + X is positive definite and I - X is not, for X = (J - I)/2 under
+        # a diagonal unitary: eigenvalues -1/2 and (n - 1)/2.  A matrix whose
+        # two triangles come from one each gets the lower one's verdict.
+        assert (n * n <= states._NUMPY_CHOLESKY_ENTRIES) == (n == 16)
+        phases = np.exp(2j * np.pi * rng.random(n))
+        x = np.outer(phases, phases.conj()) * (np.ones((n, n)) - np.eye(n)) / 2
+        definite, indefinite = np.eye(n) + x, np.eye(n) - x
+        for lower, upper, verdict in [(definite, indefinite, True), (indefinite, definite, False)]:
+            shifted = np.asfortranarray(np.tril(lower) + np.triu(upper, 1))
+            assert states._cholesky_succeeds(shifted) == verdict
+
     def test_hermiticity_check_memory_bounded(self):
         # ru_maxrss is a high-water mark: the input is built without
         # temporaries and every page is written before the baseline reading.
         script = textwrap.dedent(
             """
-            import resource
+            import math, resource
             import numpy as np
-            from losrkit import DensityMatrix
+            from losrkit import DensityMatrix, states
 
-            DensityMatrix((2,), np.eye(2) / 2)
+            # Above the numpy size rule, as the check measured below, so that
+            # scipy.linalg is imported before the baseline reading.
+            w = math.isqrt(states._NUMPY_CHOLESKY_ENTRIES) + 1
+            DensityMatrix((w,), np.eye(w) / w)
             n = 2048
             m = np.empty((n, n), dtype=complex)
             m.fill(0)
@@ -675,11 +713,14 @@ class TestStateFiles:
         path = tmp_path / "rho.txt"
         path.write_text("32 32\n" + "".join(off * i + diag + off * (n - 1 - i) for i in range(n)))
         seen = run_fresh(f"""
-        import json, resource
+        import json, math, resource
         import numpy as np
-        from losrkit import DensityMatrix, load_state
+        from losrkit import DensityMatrix, load_state, states
 
-        DensityMatrix((2,), np.eye(2) / 2)
+        # Above the numpy size rule, as the (32, 32) matrix, so that
+        # scipy.linalg is imported before the baseline reading.
+        w = math.isqrt(states._NUMPY_CHOLESKY_ENTRIES) + 1
+        DensityMatrix((w,), np.eye(w) / w)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         rho = load_state({str(path)!r})
         rise_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
