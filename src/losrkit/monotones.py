@@ -36,12 +36,11 @@ from . import config
 from .boxes import BellFunctional, HardyScore
 from .states import DensityMatrix, LocalChannelFamily, PureState, _local_expectations, born_box
 
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+# I, X, Y, Z as one read-only (4, 2, 2) stack.
+PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
+PAULI.setflags(write=False)
 
 _SET, _OUT, _PAU = "ijk", "abc", "uvw"
 
@@ -86,16 +85,18 @@ class MeasurementFamily:
         """``[party][setting][outcome]`` 2x2 projectors (1 +/- n.sigma)/2, as one
         array of shape ``(n_parties, n_settings, 2, 2, 2)``; the see-saw
         scores the same Born-rule vectors."""
-        u = _u_arrays(self.vectors).reshape(self.vectors.shape[:2] + (2, 4))
-        return np.tensordot(u, np.stack(PAULI), axes=1) / 2
+        n, s = self.vectors.shape[:2]
+        u = _u_arrays(self.vectors).reshape(-1, 4)
+        return (u @ PAULI.reshape(4, 4)).reshape(n, s, 2, 2, 2) / 2
 
 
 @dataclass(frozen=True, eq=False)
 class YieldResult:
     """``restart_values`` holds the see-saw value each restart reached, in
     restart order, for linear functionals.  For Hardy it holds one entry,
-    the closed-form family's score on the top eigenvector of rho (before
-    the zero-constraint gate on rho itself)."""
+    the closed-form family's score on the amplitude matrix it was built
+    from: a pure state's own, or the top eigenvector of rho (before the
+    zero-constraint gate on rho itself)."""
 
     value: float
     argmax: MeasurementFamily
@@ -111,11 +112,14 @@ class YieldResult:
         return "\n".join(lines)
 
 
-def pauli_expectations(state: DensityMatrix) -> np.ndarray:
-    """Real tensor E[i1..in] = Tr[rho sigma_i1 x ... x sigma_in] (qubits only)."""
+def pauli_expectations(state: DensityMatrix | PureState) -> np.ndarray:
+    """Real tensor E[i1..in] = Tr[rho sigma_i1 x ... x sigma_in] (qubits
+    only); a pure state is read as its density matrix."""
     if any(d != 2 for d in state.party_dims):
         raise ValueError("Pauli expectations need qubit parties")
-    return _local_expectations(state, [np.stack(PAULI)] * state.n_parties).real.copy()
+    if isinstance(state, PureState):
+        state = state.density()
+    return _local_expectations(state, [PAULI] * state.n_parties).real.copy()
 
 
 def _u_arrays(vecs: np.ndarray) -> np.ndarray:
@@ -202,30 +206,32 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1].conjugate(), v[0].conjugate()])
 
 
-def _hardy_kets(M: np.ndarray, a1: np.ndarray) -> list[np.ndarray]:
-    """Unit kets [a0, a1, b0, b1] that meet the three Hardy zero constraints
-    exactly on the state with amplitude matrix ``M``, given the ket a1.
-    Outcome 0 projects on the ket, outcome 1 on the orthogonal one, and the
-    amplitude of kets (a, b) is a^dag M conj(b)."""
+def _hardy_kets(M: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Unit kets [a0, a1, b0, b1], one per row, that meet the three Hardy
+    zero constraints exactly on the state with amplitude matrix ``M``, given
+    the ket a1.  Outcome 0 projects on the ket, outcome 1 on the orthogonal
+    one, and the amplitude of kets (a, b) is a^dag M conj(b)."""
     b1 = M.T @ _perp(a1).conj()  # p(11|11) = 0
     a0 = _perp(M @ b1.conj())  # p(00|01) = 0
     b0 = _perp(M.T @ a1.conj())  # p(00|10) = 0
-    return [k / np.linalg.norm(k) for k in (a0, a1, b0, b1)]
+    kets = np.array([a0, a1, b0, b1])
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
-def _optimize_hardy(state: DensityMatrix) -> tuple[MeasurementFamily, list[float]]:
+def _optimize_hardy(state: DensityMatrix | PureState) -> tuple[MeasurementFamily, list[float]]:
     """The maximum of p(00|00) = |a0^dag M conj(b0)|^2 over the exact
     feasible set, in closed form, and the Hardy score of that family on
     ``M`` as a one-entry list.
 
-    ``M`` is the top eigenvector of rho, with SVD U diag(c, s) V^dag.  Setting
+    ``M`` is the amplitude matrix of a pure state, or of the top eigenvector
+    of a density matrix, with SVD U diag(c, s) V^dag.  Setting
     a1 = U (sqrt c, sqrt s) and letting ``_hardy_kets`` fix the rest attains
     Hardy's maximum ((cs(c - s)) / (1 - cs))^2 (Hardy, PRL 71, 1665 (1993);
     Goldstein, PRL 72, 1951 (1994)).  Every ket is built to meet the zero
     constraints, so on a pure state no value passes the gate of
-    ``HardyScore.evaluate`` by a tolerance.  A top eigenvector of Schmidt
-    rank 1 (s^2 <= tau_rank) has yield 0 and would make b1 vanish; every
-    setting then measures along the Schmidt vectors, which breaks the zero
+    ``HardyScore.evaluate`` by a tolerance.  An ``M`` of Schmidt rank 1
+    (s^2 <= tau_rank) has yield 0 and would make b1 vanish; every setting
+    then measures along the Schmidt vectors, which breaks the zero
     constraints by c^2, and the gate scores the family 0.
 
     A state of rank >= 2 needs no repair step, because its Hardy yield is 0.
@@ -238,16 +244,19 @@ def _optimize_hardy(state: DensityMatrix) -> tuple[MeasurementFamily, list[float
     family violates the constraints by about the weight outside the top
     eigenvector, and the gate turns that into 0.
     """
-    _, vecs = np.linalg.eigh(state.matrix)
-    M = vecs[:, -1].reshape(2, 2)
+    if isinstance(state, PureState):
+        M = state.amplitudes.reshape(2, 2)
+    else:
+        M = np.linalg.eigh(state.matrix)[1][:, -1].reshape(2, 2)
     U, (c, s), Vh = np.linalg.svd(M)
     if s * s <= config.current().tau_rank:
-        kets, value = [U[:, 0], U[:, 0], Vh[0], Vh[0]], 0.0
+        kets, value = np.array([U[:, 0], U[:, 0], Vh[0], Vh[0]]), 0.0
     else:
         kets = _hardy_kets(M, U @ np.sqrt([c, s]))
         value = abs(np.vdot(kets[0], M @ kets[2].conj())) ** 2
-    bloch = [[np.vdot(k, p @ k).real for p in PAULI[1:]] for k in kets]
-    return MeasurementFamily(np.reshape(bloch, (2, 2, 3))), [value]
+    # n_k = <k| sigma |k> for sigma = X, Y, Z
+    bloch = np.einsum("ki,pij,kj->kp", kets.conj(), PAULI[1:], kets).real
+    return MeasurementFamily(bloch.reshape(2, 2, 3)), [value]
 
 
 def optimize_yield(
@@ -275,8 +284,6 @@ def optimize_yield(
         raise ValueError(
             f"{type(f).__name__} needs {n} qubit parties, state has dims {state.party_dims}"
         )
-    if isinstance(state, PureState):
-        state = state.density()
     if coeffs is None:
         family, restart_values = _optimize_hardy(state)
     else:
@@ -296,8 +303,6 @@ def horodecki_chsh(state: DensityMatrix | PureState) -> float:
     matrix.  Independent of the see-saw path."""
     if state.party_dims != (2, 2):
         raise ValueError("horodecki_chsh needs a two-qubit state")
-    if isinstance(state, PureState):
-        state = state.density()
     T = pauli_expectations(state)[1:, 1:]
     w = np.linalg.eigvalsh(T.T @ T)
     return 2.0 * float(np.sqrt(max(w[-1] + w[-2], 0.0)))

@@ -1,14 +1,16 @@
 """Independent oracles that the suite checks the library against.
 
 Each oracle answers the same question as a library routine by a slower,
-simpler method: exhaustive enumeration, capped to small inputs, or the plain
-scan that a faster library search must reproduce bit for bit.
+simpler method: exhaustive enumeration, capped to small inputs, explicit
+Kronecker products, or the plain scan that a faster library search must
+reproduce bit for bit.
 ``state_with_spectrum`` builds the bipartite states that these tests share.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -17,7 +19,9 @@ from losrkit import (
     Box,
     FactorizationResult,
     FlagConstruction,
+    HardyScore,
     LocalModel,
+    MeasurementFamily,
     NonlocalCertificate,
     PureState,
     Reason,
@@ -222,3 +226,44 @@ def demo_catalysis_states(seed: int = 0) -> tuple[list[str], bool]:
     rep.check(counterexamples == 0, "catalytic convertibility always equals plain convertibility")
     rep.check(convertible_cases > 0, "the sweep exercised genuinely convertible pairs")
     return rep.lines, rep.ok
+
+
+def born_box_kron(state, meas) -> Box:
+    """Reference for ``born_box``: each joint POVM element written out with
+    ``np.kron`` and its probability taken as Tr[rho E], one entry at a time."""
+    rho = state.density().matrix if isinstance(state, PureState) else state.matrix
+    elements = [np.asarray(povm, dtype=complex) for povm in (meas.povms() if hasattr(meas, "povms") else meas)]
+    settings = tuple(povm.shape[0] for povm in elements)
+    outcomes = tuple(povm.shape[1] for povm in elements)
+    table = np.zeros(settings + outcomes)
+    for xs in product(*map(range, settings)):
+        for outs in product(*map(range, outcomes)):
+            op = reduce(np.kron, [povm[x, a] for povm, x, a in zip(elements, xs, outs)])
+            table[xs + outs] = np.trace(rho @ op).real
+    return Box(table)
+
+
+def hardy_yield_eigh(state) -> tuple[float, np.ndarray]:
+    """Reference for the Hardy yield: the closed-form construction on the
+    top eigenvector of the density matrix (of psi psi^dag for a pure state),
+    each ket normalized on its own and each Bloch component taken as its own
+    ``np.vdot``, scored by ``HardyScore`` on the Kronecker-product Born box.
+    Returns the value and the ``(2, 2, 3)`` Bloch vectors."""
+    rho = state.density() if isinstance(state, PureState) else state
+    M = np.linalg.eigh(rho.matrix)[1][:, -1].reshape(2, 2)
+    U, (c, s), Vh = np.linalg.svd(M)
+
+    def perp(v):
+        return np.array([-v[1].conjugate(), v[0].conjugate()])
+
+    if s * s <= config.current().tau_rank:
+        kets = [U[:, 0], U[:, 0], Vh[0], Vh[0]]
+    else:
+        a1 = U @ np.sqrt([c, s])
+        b1 = M.T @ perp(a1).conj()
+        a0 = perp(M @ b1.conj())
+        b0 = perp(M.T @ a1.conj())
+        kets = [k / np.linalg.norm(k) for k in (a0, a1, b0, b1)]
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+    bloch = np.reshape([[np.vdot(k, p @ k).real for p in paulis] for k in kets], (2, 2, 3))
+    return HardyScore().evaluate(born_box_kron(rho, MeasurementFamily(bloch))), bloch

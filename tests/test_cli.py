@@ -384,6 +384,16 @@ class TestYield:
         assert code == 0
         assert out == expected
 
+    def test_hardy_restarts_and_seed_pinned(self, capsys):
+        # The Hardy yield ignores both options but echoes them.
+        code, out, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")
+        assert code == 0
+        assert out == (
+            "0.0901368776 6 3\n"
+            "party 0: 2.539313467 0 1.190540453 0\n"
+            "party 1: 2.539313467 3.141592654 1.190540453 3.141592654\n"
+        )
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")
         _, out2, _ = run(capsys, "--restarts", "6", "--seed", "3", "yield", "partial(0.43)", "hardy")

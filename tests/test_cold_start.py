@@ -1,7 +1,7 @@
 """What a fresh interpreter loads, and what its first calls return.
 
 scipy.optimize is imported by the first LP solve and scipy.linalg by the
-first density matrix above 256 dimensions that the constructor checks: the
+first density matrix above 64 dimensions that the constructor checks: the
 PSD check of a smaller one runs in numpy.  So pure-state and small mixed-state
 yields, channel outputs, ``demo anomaly`` and a ``selftest-scan`` over pure
 candidates load no scipy module.  Each check runs in its own interpreter:
@@ -113,6 +113,24 @@ class TestFirstCallsInFreshProcess:
         )
         assert seen["checks"] == [[16, True]]
         assert seen["dims"] == [4, 4]
+
+    def test_pure_state_hardy_yield_checks_no_density_matrix(self):
+        # The yield reads the amplitudes, and its Born box the outer product,
+        # which is valid by construction.
+        seen = run_fresh_recording_checks(
+            """
+            import contextlib, io, json, sys
+            import losrkit.cli
+            from losrkit import HardyScore, catalog, optimize_yield
+
+            value = optimize_yield(catalog.partial(0.4), HardyScore()).value
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = losrkit.cli.main(["yield", "partial(0.4387)", "hardy"])
+            scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(json.dumps({"checks": checks, "scipy": scipy, "value": value, "code": code}))
+            """
+        )
+        assert seen == {"checks": [], "scipy": [], "value": pytest.approx(0.0884091072, abs=1e-10), "code": 0}
 
     def test_small_mixed_states_load_no_scipy(self):
         seen = run_fresh(

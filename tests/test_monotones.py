@@ -4,6 +4,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from losrkit import (
     CHSH,
@@ -24,6 +26,7 @@ from losrkit import (
 )
 from losrkit.monotones import _MAX_RESTARTS, _functional_tensor, _seesaw_linear
 from conftest import random_density, random_unitary
+from oracles import hardy_yield_eigh
 
 TSIRELSON = 2 * np.sqrt(2)
 HARDY_MAX = (5 * np.sqrt(5) - 11) / 2
@@ -253,6 +256,21 @@ class TestHardyFeasibleSet:
             assert np.all(np.isfinite(res.argmax.angles))
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(0.0, np.pi / 2), seed=st.integers(0, 2**32 - 1))
+    @example(theta=0.0, seed=0)  # partial(0.0): the Schmidt-rank-1 branch
+    def test_pure_state_matches_eigh_route(self, theta, seed):
+        # The yield reads a pure state's amplitudes; the oracle takes the top
+        # eigenvector of psi psi^dag, as the mixed-state route does.
+        rng = np.random.default_rng(seed)
+        local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        for psi in (catalog.partial(theta), PureState((2, 2), local @ catalog.partial(theta).amplitudes)):
+            res = optimize_yield(psi, HardyScore())
+            value, _ = hardy_yield_eigh(psi)
+            assert abs(res.value - value) <= 1e-14
+            assert abs(res.restart_values[0] - value) <= 1e-14
+
+
 class TestSeesawBatch:
     """The batched see-saw against one restart at a time."""
 
@@ -350,6 +368,10 @@ class TestPauliExpectations:
         assert E[2, 2] == pytest.approx(-1.0)
         assert E[3, 3] == pytest.approx(1.0)
         assert E[1, 0] == pytest.approx(0.0)
+
+    def test_pure_state_reads_as_its_density(self):
+        for psi in (catalog.partial(0.4), catalog.ghz()):
+            assert np.array_equal(pauli_expectations(psi), pauli_expectations(psi.density()))
 
     def test_four_qubits_match_kronecker_reference(self, rng):
         paulis = [

@@ -17,6 +17,7 @@ from losrkit import (
     Bipartition,
     DensityMatrix,
     LocalChannelFamily,
+    MeasurementFamily,
     PureState,
     SchmidtSpectrum,
     all_bipartitions,
@@ -35,7 +36,7 @@ from losrkit import (
 )
 from losrkit import states
 from conftest import random_density, random_pure, random_unitary, run_fresh
-from oracles import state_with_spectrum
+from oracles import born_box_kron, state_with_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -593,14 +594,10 @@ class TestBornBox:
             rho = random_density(rng, (2, 2))
             vecs = rng.standard_normal((2, 2, 3))
             vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
-            from losrkit import MeasurementFamily
-
             box = born_box(rho, MeasurementFamily(vecs))
             assert is_no_signaling(box, 1e-10)
 
     def test_matches_kronecker_reference(self, rng):
-        from losrkit import MeasurementFamily
-
         # Qutrit pair: three projective measurements with three outcomes each.
         qutrit_povm = []
         for _ in range(2):
@@ -619,6 +616,31 @@ class TestBornBox:
                     op = kron_all([meas[p][xs[p]][outs[p]] for p in range(n)])
                     expect = np.trace(rho.matrix @ op).real
                     assert abs(box.table[xs + outs] - expect) < 1e-12
+
+    def test_pure_state_reads_as_its_density(self):
+        vecs = np.random.default_rng(3).standard_normal((2, 2, 3))
+        fam = MeasurementFamily(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
+        psi = catalog.partial(0.4)
+        assert np.array_equal(born_box(psi, fam).table, born_box(psi.density(), fam).table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(["two_qubits", "three_qubits", "qutrits"]), pure=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_kron_oracle(self, case, pure, seed):
+        rng = np.random.default_rng(seed)
+        if case == "qutrits":
+            # Three projective measurements with three outcomes per party.
+            dims = (3, 3)
+            meas = []
+            for _ in dims:
+                us = [random_unitary(rng, 3) for _ in range(3)]
+                meas.append([[np.outer(u[:, a], u[:, a].conj()) for a in range(3)] for u in us])
+        else:
+            dims = (2,) * (2 if case == "two_qubits" else 3)
+            vecs = rng.standard_normal((len(dims), int(rng.integers(1, 4)), 3))
+            meas = MeasurementFamily(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
+        state = random_pure(rng, dims) if pure else random_density(rng, dims)
+        assert np.max(np.abs(born_box(state, meas).table - born_box_kron(state, meas).table)) <= 1e-14
 
     def test_non_complete_povm_rejected(self):
         z0 = np.diag([1.0, 0.0]).astype(complex)
