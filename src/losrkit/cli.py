@@ -58,30 +58,24 @@ def _load_any(name: str):
 
 
 def _load_pure(name: str) -> PureState:
+    return _load_as(name, PureState, "a pure state")
+
+
+def _load_as(name: str, cls, what: str):
     obj = _load_any(name)
-    if not isinstance(obj, PureState):
-        raise InputError(f"{name!r} is not a pure state")
+    if not isinstance(obj, cls):
+        raise InputError(f"{name!r} is not {what}")
     return obj
 
 
-def _load_box_arg(name: str) -> Box:
-    obj = _load_any(name)
-    if not isinstance(obj, Box):
-        raise InputError(f"{name!r} is not a box")
-    return obj
+_FUNCTIONALS = {"chsh": CHSH, "tilted": TiltedCHSH, "hardy": HardyScore, "mermin": MerminGHZ}
 
 
 def _functional(name: str, alpha: float):
-    key = name.strip().lower()
-    if key == "chsh":
-        return CHSH()
-    if key == "tilted":
-        return TiltedCHSH(alpha)
-    if key == "hardy":
-        return HardyScore()
-    if key == "mermin":
-        return MerminGHZ()
-    raise InputError(f"unknown functional {name!r} (chsh, tilted, hardy, mermin)")
+    cls = _FUNCTIONALS.get(name.strip().lower())
+    if cls is None:
+        raise InputError(f"unknown functional {name!r} (chsh, tilted, hardy, mermin)")
+    return cls(alpha) if cls is TiltedCHSH else cls()
 
 
 def cmd_schmidt(args) -> int:
@@ -127,7 +121,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_box_local(args) -> int:
-    box = _load_box_arg(args.box)
+    box = _load_as(args.box, Box, "a box")
     result = local_membership(box)
     if isinstance(result, LocalModel):
         print(f"Local reconstruction_error {_fmt(result.reconstruction_error)}")
@@ -147,7 +141,7 @@ def cmd_box_local(args) -> int:
 
 
 def cmd_box_eval(args) -> int:
-    box = _load_box_arg(args.box)
+    box = _load_as(args.box, Box, "a box")
     f = _functional(args.functional, args.alpha)
     value = f.evaluate(box)
     print(_fmt(value))

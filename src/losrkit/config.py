@@ -21,7 +21,9 @@ class Tolerances:
     eps_norm   -- normalization / Hermiticity checks of states, channels and
                   box conditionals (double-precision SVD error with headroom).
     tau_rank   -- rank cutoff separating genuine zeros from eigensolver noise
-                  at total dimension <= 64.
+                  at total dimension <= 64.  It applies to computed spectra,
+                  not to exact products of them: a tensor product of spectra
+                  is cut factor by factor, never as a whole.
     eps_match  -- multiset matching tolerance for spectrum factorization.
     """
 

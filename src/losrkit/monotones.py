@@ -11,19 +11,19 @@ so nothing is lost for these functionals at qubit dimensions.  Angles appear
 only in printed results.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
-(closed-form Bloch updates), and the best restart is the answer.  The
-functional and the state's Pauli tensor form one tensor with an axis per
-party, so a party's field is a chain of matrix products, and every restart
-is swept in one batch until it stalls on its own.  The Born vectors of the
-running restarts stay in one array that each update writes in place, party
-0's field both scores a sweep and starts the next one, and the batch is
-compacted only on a sweep where some restart stalls.  The Hardy score needs
-no search: the three zero constraints fix every direction once A's setting-1
-ket is chosen, and Hardy's closed-form argmax gives that ket from the SVD of
-the state's amplitude matrix.  The see-saw's score and the reported box
-come from one Born-rule map of the Bloch vectors.  Each restart's value is
-reported with the result.  Results are deterministic given (state,
-functional, restarts, seed).
+(closed-form Bloch updates), and the best restart is the answer.  The state's
+Pauli tensor is one ``states`` contraction step per party, as ``born_box`` is;
+with the functional it forms one tensor with an axis per party, so a party's
+field is a chain of matrix products, and every restart is swept in one batch
+until it stalls on its own.  The Born vectors of the running restarts stay in
+one array that each update writes in place, party 0's field both scores a sweep
+and starts the next one, and the batch is compacted only on a sweep where some
+restart stalls.  The Hardy score needs no search: the three zero constraints
+fix every direction once A's setting-1 ket is chosen, and Hardy's closed-form
+argmax gives that ket from the SVD of the state's amplitude matrix.  The
+see-saw's score and the reported box come from one Born-rule map of the Bloch
+vectors.  Each restart's value is reported with the result.  Results are
+deterministic given (state, functional, restarts, seed).
 """
 
 from __future__ import annotations
@@ -34,13 +34,15 @@ import numpy as np
 
 from . import config
 from .boxes import BellFunctional, HardyScore
-from .states import DensityMatrix, LocalChannelFamily, PureState, _local_expectations, born_box
+from .states import DensityMatrix, LocalChannelFamily, PureState, _interleaved, _party_step, born_box
 
 # I, X, Y, Z as one read-only (4, 2, 2) stack.
 PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
 PAULI.setflags(write=False)
+# The same stack as one party's ``states._party_step`` operator: [(row, col), i] = sigma_i[col, row].
+_PAULI_STEP = PAULI.swapaxes(1, 2).reshape(4, 4).T[None]
 
 _SET, _OUT, _PAU = "ijk", "abc", "uvw"
 
@@ -117,9 +119,10 @@ def pauli_expectations(state: DensityMatrix | PureState) -> np.ndarray:
     only); a pure state is read as its density matrix."""
     if any(d != 2 for d in state.party_dims):
         raise ValueError("Pauli expectations need qubit parties")
-    if isinstance(state, PureState):
-        state = state.density()
-    return _local_expectations(state, [PAULI] * state.n_parties).real.copy()
+    t = _interleaved(state)
+    for _ in state.party_dims:
+        t = _party_step(t, _PAULI_STEP)
+    return t.real.reshape((4,) * state.n_parties).copy()
 
 
 def _u_arrays(vecs: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -120,6 +121,12 @@ def _tensor_sorted(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return np.sort(np.multiply.outer(phi, zeta).ravel())[::-1]
 
 
+def _cut_product(*spectra: SchmidtSpectrum) -> np.ndarray:
+    """The descending tensor product of the spectra, each cut at ``tau_rank``
+    and the product not: a product of kept entries is never solver noise."""
+    return reduce(_tensor_sorted, (s.truncated() for s in spectra))
+
+
 def _finish(zeta, psi, phi) -> FactorizationResult:
     """Validate a candidate auxiliary spectrum and classify tolerance margin."""
     tol = config.current()
@@ -168,9 +175,12 @@ def factor_spectrum(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum) -> Factoriza
     comparisons for a rank-r source, against O(r^2) for a scan per removal,
     with the scan's choice on every tie and the same bits in every result.
     """
+    return _factor(l_psi.truncated(), l_phi.truncated())
+
+
+def _factor(psi: np.ndarray, phi: np.ndarray) -> FactorizationResult:
+    """``factor_spectrum`` on descending spectra already cut at ``tau_rank``."""
     eps = config.current().eps_match
-    psi = l_psi.truncated()
-    phi = l_phi.truncated()
     k = rank_ratio_admissible(psi.size, phi.size)
     if k is None:
         return FactorizationResult(False, None, np.inf, Reason.RANK_RATIO_NON_INTEGER)
@@ -266,15 +276,15 @@ def compare(psi: PureState, phi: PureState) -> ConversionVerdict:
 
 
 def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> bool:
-    """Whether psi (x) chi converts to phi (x) chi, decided on tensored spectra."""
+    """Whether psi (x) chi converts to phi (x) chi, decided on the products
+    of the three spectra, each cut at ``tau_rank`` (``_cut_product``)."""
     for s, name in ((psi, "psi"), (phi, "phi"), (chi, "chi")):
         if s.n_parties != 2:
             raise ValueError(f"{name} must be bipartite")
     (beta,) = all_bipartitions(2)
     l_chi = schmidt_spectrum(chi, beta)
-    l_src = schmidt_spectrum(psi, beta).tensor(l_chi)
-    l_dst = schmidt_spectrum(phi, beta).tensor(l_chi)
-    return factor_spectrum(l_src, l_dst).found
+    src = _cut_product(schmidt_spectrum(psi, beta), l_chi)
+    return _factor(src, _cut_product(schmidt_spectrum(phi, beta), l_chi)).found
 
 
 def verdict_to_text(v: ConversionVerdict, long: bool = False) -> str:

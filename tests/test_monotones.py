@@ -373,6 +373,21 @@ class TestPauliExpectations:
         for psi in (catalog.partial(0.4), catalog.ghz()):
             assert np.array_equal(pauli_expectations(psi), pauli_expectations(psi.density()))
 
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_memory_on_ten_qubits(self, rng, pure):
+        # The state in [row_0, col_0, ...] order and one party's output: twice
+        # the density matrix's bytes, for a pure state too.
+        amp = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        psi = PureState((2,) * 10, amp / np.linalg.norm(amp))
+        rho = psi.density()
+        tracemalloc.start()
+        try:
+            pauli_expectations(psi if pure else rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rho.matrix.nbytes + 2**16
+
     def test_four_qubits_match_kronecker_reference(self, rng):
         paulis = [
             np.eye(2),

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from losrkit import (
@@ -22,7 +22,7 @@ from losrkit import (
     spectra_equal,
     verdict_to_text,
 )
-from losrkit.preorder import _closest, _tensor_sorted
+from losrkit.preorder import _closest, _cut_product, _factor, _tensor_sorted
 from losrkit.selftest import conjugate_state
 from conftest import majorizes, random_pure, random_unitary
 from oracles import factor_spectrum_bruteforce, factor_spectrum_scan, state_with_spectrum
@@ -36,6 +36,17 @@ def spec(*vals):
 
 def random_spectrum(rng, rank):
     return np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+
+
+# A spectrum weight m * 10^-e, and lists of one to three of them.
+_WEIGHT = st.builds(lambda m, e: m * 10.0**-e, st.integers(1, 9), st.integers(0, 6))
+_WEIGHTS = st.lists(_WEIGHT, min_size=1, max_size=3)
+
+
+def _normalized(weights) -> np.ndarray:
+    """The descending spectrum proportional to ``weights``."""
+    w = np.asarray(weights, dtype=float)
+    return np.sort(w / w.sum())[::-1]
 
 
 class TestSpectraEqual:
@@ -401,6 +412,36 @@ class TestCatalysis:
     def test_rejects_multipartite(self):
         with pytest.raises(ValueError):
             catalytic_convertible(catalog.ghz(), catalog.ghz(), catalog.phi_plus())
+
+    def test_small_products_are_not_cut(self):
+        # Every entry of psi = phi (x) zeta and of chi is at least 1e-7, but
+        # products of them fall below tau_rank; cutting the products made the
+        # source keep 7 of its 8 entries and the target all 4.
+        lam_phi, lam_zeta, lam_chi = (_normalized([1, x]) for x in (1e-4, 1e-3, 1e-4))
+        lam_psi = np.sort(np.kron(lam_phi, lam_zeta))[::-1]
+        psi, phi, chi = map(state_with_spectrum, (lam_psi, lam_phi, lam_chi))
+        v = compare(psi, phi)
+        assert (v.direction, v.reason) == (Direction.PSI_TO_PHI_ONLY, Reason.DECIDED)
+        assert catalytic_convertible(psi, phi, chi)
+        assert not catalytic_convertible(phi, psi, chi)
+        # Two copies convert, since one does: 16 entries against 4.
+        l_psi, l_phi = spec(*lam_psi), spec(*lam_phi)
+        assert _factor(_cut_product(l_psi, l_psi), _cut_product(l_phi, l_phi)).found
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        phi=_WEIGHTS, zeta=_WEIGHTS, other=_WEIGHTS,
+        chi=st.lists(_WEIGHT, min_size=2, max_size=3), convertible=st.booleans(),
+    )
+    def test_catalysts_with_small_entries_never_change_the_verdict(self, phi, zeta, other, chi, convertible):
+        # Entries m * 10^-e, so catalyst entries go down to about 1e-6 and
+        # products of entries far below tau_rank.
+        lam_phi = _normalized(phi)
+        lam_psi = np.sort(np.kron(lam_phi if convertible else _normalized(other), _normalized(zeta)))[::-1]
+        psi, phi_state = state_with_spectrum(lam_psi), state_with_spectrum(lam_phi)
+        plain = compare(psi, phi_state)
+        assume(not plain.borderline)
+        assert catalytic_convertible(psi, phi_state, state_with_spectrum(_normalized(chi))) == plain.allows_forward()
 
 
 class TestSerialization:

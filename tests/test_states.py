@@ -565,6 +565,33 @@ class TestChannels:
         assert out.party_dims == (2, 256)
         assert peak <= 8 * rho.matrix.nbytes
 
+    @pytest.mark.slow
+    def test_memory_at_the_cap(self):
+        # (64, 64), one 2-Kraus component per party, so both parties take the
+        # Kraus path.  At most the state in [row_0, col_0, ...] order, a
+        # 2-Kraus row product and its output are alive: 4 times the state.
+        seen = run_fresh("""
+            import json, tracemalloc
+            import numpy as np
+            from losrkit import LocalChannelFamily, PureState, apply_channel
+
+            rng = np.random.default_rng(5)
+            amp = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+            rho = PureState((64, 64), amp / np.linalg.norm(amp)).density()
+            kraus = []
+            for _ in range(2):
+                q = np.linalg.qr(rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64)))[0]
+                kraus.append((q[:64], q[64:]))
+            ch = LocalChannelFamily.from_local_kraus(kraus)
+            tracemalloc.start()
+            out = apply_channel(rho, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(json.dumps({"ratio": peak / rho.matrix.nbytes, "trace": float(np.trace(out.matrix).real)}))
+        """)
+        assert abs(seen["trace"] - 1.0) < 1e-9
+        assert seen["ratio"] <= 4.1
+
 
 class TestBornBox:
     def test_phi_plus_computational(self):
@@ -641,6 +668,22 @@ class TestBornBox:
             meas = MeasurementFamily(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
         state = random_pure(rng, dims) if pure else random_density(rng, dims)
         assert np.max(np.abs(born_box(state, meas).table - born_box_kron(state, meas).table)) <= 1e-14
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_memory_on_ten_qubits(self, rng, pure):
+        # The state in [row_0, col_0, ...] order and one party's output: twice
+        # the density matrix's bytes, for a pure state too.
+        psi = random_pure(rng, (2,) * 10)
+        rho = psi.density()
+        vecs = rng.standard_normal((10, 2, 3))
+        meas = MeasurementFamily(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
+        tracemalloc.start()
+        try:
+            born_box(psi if pure else rho, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rho.matrix.nbytes + 2**16
 
     def test_non_complete_povm_rejected(self):
         z0 = np.diag([1.0, 0.0]).astype(complex)
