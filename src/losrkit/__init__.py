@@ -45,7 +45,6 @@ from .preorder import (
     factor_spectrum,
     rank_ratio_admissible,
     spectra_equal,
-    verdict_to_text,
 )
 from .monotones import (
     MeasurementFamily,

@@ -3,9 +3,10 @@
 Inputs are either names from the builtin catalog (``phi_plus``, ``ghz``,
 ``two_bell``, ``partial(theta)``, ``max_entangled(d)``, ``chiral``,
 ``pr_box``, ``tsirelson_box``) or paths to files in the text formats of the
-states and boxes modules.  Output is plain text, one record per line;
-``--long`` adds prose.  Exit codes: 0 success, 1 failed demo assertions,
-2 malformed or unreadable input.  A state renormalized within
+states and boxes modules.  This module writes every result's text: one
+renderer per record returns its default lines and the lines ``--long``
+appends, numbers written by ``fmt``.  Exit codes: 0 success, 1 failed demo
+assertions, 2 malformed or unreadable input.  A state renormalized within
 ``states.NORM_REPAIR_LIMIT`` is answered without the library's warning.
 """
 
@@ -22,19 +23,90 @@ import numpy as np
 
 from . import catalog, config
 from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
-from .demos import DEMOS
-from .monotones import optimize_yield
-from .preorder import compare, factor_spectrum, verdict_to_text
-from .selftest import closure_scan
-from .states import Bipartition, PureState, load_state, schmidt_spectrum
+from .monotones import YieldResult, optimize_yield
+from .preorder import ConversionVerdict, FactorizationResult, compare, factor_spectrum
+from .selftest import ClosureScanReport, closure_scan
+from .states import Bipartition, PureState, SchmidtSpectrum, load_state, schmidt_spectrum
+
+_BORDERLINE = "warning: decision within 10x of the matching tolerance"
 
 
 class InputError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _row(values) -> str:
+    return " ".join(fmt(v) for v in values)
+
+
+def spectrum_text(spec: SchmidtSpectrum, beta: Bipartition, long: bool) -> list[str]:
+    return [_row(spec.values)] + ([f"rank {spec.rank()} across {beta.label()}"] if long else [])
+
+
+def verdict_text(v: ConversionVerdict, long: bool) -> list[str]:
+    """`direction reason` and one witness line per bipartition; --long adds each direction's analysis."""
+    lines = [f"{v.direction.value} {v.reason.value}"]
+    lines += [f"{beta.label()}: {_row(zeta.values)}" for beta, zeta in v.witness or ()]
+    if long:
+        for name, rep in (("psi->phi", v.forward), ("phi->psi", v.backward)):
+            where = f" at {rep.blocked_at.label()}" if rep.blocked_at else ""
+            status = "ruled out" if rep.ruled_out else "passes necessity"
+            lines.append(f"{name}: {status} ({rep.reason.value}{where})")
+        if v.borderline:
+            lines.append(_BORDERLINE)
+    return lines
+
+
+def factor_text(res: FactorizationResult, long: bool) -> list[str]:
+    if res.found:
+        lines = [f"found {_row(res.lambda_zeta.values)}", f"residual {fmt(res.residual)}"]
+    else:
+        lines = [f"not_found {res.reason.value}"]
+    return lines + ([_BORDERLINE] if long and res.borderline else [])
+
+
+def membership_text(result, long: bool) -> list[str]:
+    """A ``local_membership`` result: a LocalModel or a NonlocalCertificate."""
+    if isinstance(result, LocalModel):
+        lines = [f"Local reconstruction_error {fmt(result.reconstruction_error)}"]
+        if long:
+            nz = np.flatnonzero(result.weights > 1e-12)
+            lines.append("weights: " + " ".join(f"{i}:{fmt(result.weights[i])}" for i in nz))
+    else:
+        lines = [f"Nonlocal margin {fmt(result.margin)} value {fmt(result.value)} "
+                 f"local_bound {fmt(result.local_bound)}"]
+        if long:
+            lines.append(f"functional: {_row(result.functional)}")
+    return lines + ([f"lp rounds {result.rounds} columns {result.columns}"] if long else [])
+
+
+def box_eval_text(value: float, violation: float | None, long: bool) -> list[str]:
+    """``violation``: the Hardy score's largest zero-constraint violation, None for the others."""
+    more = [f"max zero-constraint violation {fmt(violation)}"] if long and violation is not None else []
+    return [fmt(value)] + more
+
+
+def yield_text(result: YieldResult) -> list[str]:
+    lines = [f"{fmt(result.value)} {result.restarts_used} {result.seed}"]
+    return lines + [f"party {p}: {_row(angles.reshape(-1))}" for p, angles in enumerate(result.argmax.angles)]
+
+
+def scan_text(report: ClosureScanReport) -> list[str]:
+    lines = ["id yield reacher verdict"]
+    for e in report.entries:
+        if e.converts is None:
+            verdict = "conversion_undecided" if e.is_reacher else "not_reacher"
+        else:
+            verdict = "converts" if e.converts else f"no_conversion({e.direction.value})"
+        lines.append(f"{e.index} {fmt(e.yield_value)} {int(e.is_reacher)} {verdict}")
+    if report.box_unreachable:
+        lines.append("box unreachable in candidate set (condition vacuously satisfied)")
+    lines.append(f"selftest condition satisfied on candidate set: {report.satisfied}")
+    return lines
 
 
 def _load_any(name: str):
@@ -81,11 +153,7 @@ def _functional(name: str, alpha: float):
 def cmd_schmidt(args) -> int:
     psi = _load_pure(args.state)
     beta = Bipartition.parse(args.bipartition, psi.n_parties)
-    spec = schmidt_spectrum(psi, beta)
-    lines = [" ".join(_fmt(v) for v in spec.values)]
-    if args.long:
-        lines.append(f"rank {spec.rank()} across {beta.label()}")
-    print("\n".join(lines))
+    print("\n".join(spectrum_text(schmidt_spectrum(psi, beta), beta, args.long)))
     return 0
 
 
@@ -94,7 +162,7 @@ def cmd_compare(args) -> int:
     phi = _load_pure(args.state2)
     if args.command == "multi-check" and not psi.n_parties == phi.n_parties >= 3:
         raise InputError("multi-check needs two states with the same n >= 3 parties")
-    print(verdict_to_text(compare(psi, phi), long=args.long))
+    print("\n".join(verdict_text(compare(psi, phi), args.long)))
     return 0
 
 
@@ -110,51 +178,28 @@ def cmd_factor(args) -> int:
     else:
         beta = Bipartition.parse(args.bipartition, psi.n_parties)
     res = factor_spectrum(schmidt_spectrum(psi, beta), schmidt_spectrum(phi, beta))
-    if res.found:
-        print("found " + " ".join(_fmt(v) for v in res.lambda_zeta.values))
-        print(f"residual {_fmt(res.residual)}")
-    else:
-        print(f"not_found {res.reason.value}")
-    if args.long and res.borderline:
-        print("warning: decision within 10x of the matching tolerance")
+    print("\n".join(factor_text(res, args.long)))
     return 0
 
 
 def cmd_box_local(args) -> int:
-    box = _load_as(args.box, Box, "a box")
-    result = local_membership(box)
-    if isinstance(result, LocalModel):
-        print(f"Local reconstruction_error {_fmt(result.reconstruction_error)}")
-        if args.long:
-            nz = np.flatnonzero(result.weights > 1e-12)
-            print("weights: " + " ".join(f"{i}:{_fmt(result.weights[i])}" for i in nz))
-    else:
-        print(
-            f"Nonlocal margin {_fmt(result.margin)} value {_fmt(result.value)} "
-            f"local_bound {_fmt(result.local_bound)}"
-        )
-        if args.long:
-            print("functional: " + " ".join(_fmt(v) for v in result.functional))
-    if args.long:
-        print(f"lp rounds {result.rounds} columns {result.columns}")
+    result = local_membership(_load_as(args.box, Box, "a box"))
+    print("\n".join(membership_text(result, args.long)))
     return 0
 
 
 def cmd_box_eval(args) -> int:
     box = _load_as(args.box, Box, "a box")
     f = _functional(args.functional, args.alpha)
-    value = f.evaluate(box)
-    print(_fmt(value))
-    if args.long and isinstance(f, HardyScore):
-        print(f"max zero-constraint violation {_fmt(f.constraint_violation(box))}")
+    violation = f.constraint_violation(box) if isinstance(f, HardyScore) else None
+    print("\n".join(box_eval_text(f.evaluate(box), violation, args.long)))
     return 0
 
 
 def cmd_yield(args) -> int:
     psi = _load_pure(args.state)
     f = _functional(args.functional, args.alpha)
-    result = optimize_yield(psi, f, restarts=args.restarts, seed=args.seed)
-    print(result.to_text())
+    print("\n".join(yield_text(optimize_yield(psi, f, restarts=args.restarts, seed=args.seed))))
     return 0
 
 
@@ -162,24 +207,17 @@ def cmd_selftest_scan(args) -> int:
     f = _functional(args.functional, args.alpha)
     target_state = _load_pure(args.target_state)
     candidates = [_load_pure(name) for name in args.candidates]
-    report = closure_scan(
-        f,
-        args.target_value,
-        target_state,
-        candidates,
-        tol=args.tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-    print(report.to_text())
+    report = closure_scan(f, args.target_value, target_state, candidates,
+                          tol=args.tol, restarts=args.restarts, seed=args.seed)
+    print("\n".join(scan_text(report)))
     return 0
 
 
 def cmd_demo(args) -> int:
+    from .demos import DEMOS
+
     lines, ok = DEMOS[args.name](seed=args.seed)
-    for line in lines:
-        print(line)
-    print("demo result: " + ("pass" if ok else "fail"))
+    print("\n".join(lines + ["demo result: " + ("pass" if ok else "fail")]))
     return 0 if ok else 1
 
 
@@ -190,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     Every caller shares the one parser, so it must not be mutated.  Parsing
     leaves no state in it: each call returns a fresh namespace.
     """
+    from .demos import DEMOS  # here and in cmd_demo: the demos import this module
+
     parser = argparse.ArgumentParser(
         prog="losrkit",
         description="LOSR-entanglement convertibility, box classification, and yield monotones.",

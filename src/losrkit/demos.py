@@ -1,7 +1,8 @@
 """End-to-end demonstration runs behind the ``demo`` CLI subcommand.
 
-Each demo prints a plain-text report and returns True iff all of its internal
-assertions hold; the CLI maps that to exit codes 0/1.
+Each demo returns the lines of a plain-text report, numbers written by the
+CLI's ``fmt``, and True iff all of its internal assertions hold; the CLI
+prints the lines and maps the flag to exit codes 0/1.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import numpy as np
 
 from . import catalog
 from .boxes import CHSH, HardyScore, MerminGHZ, NonlocalCertificate, local_membership
+from .cli import fmt, scan_text
 from .monotones import horodecki_chsh, optimize_yield
 from .preorder import Direction, Reason, _cut_product, _factor, compare, factor_spectrum
 from .selftest import FlagConstruction, closure_scan, flag_roundtrip_check, forward_channel
@@ -34,17 +36,13 @@ class _Report:
         self.ok = self.ok and bool(cond)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def demo_anomaly(seed: int = 0) -> tuple[list[str], bool]:
     """Hardy reachable from a partially entangled state but not from the
     maximally entangled one, while the states are order-incomparable."""
     rep = _Report()
     phi = catalog.phi_plus()
     hardy_max = optimize_yield(phi, HardyScore()).value
-    rep.say(f"hardy yield phi_plus      {_fmt(hardy_max)}")
+    rep.say(f"hardy yield phi_plus      {fmt(hardy_max)}")
     rep.check(hardy_max <= 1e-6, "maximally entangled state cannot reach the Hardy box")
 
     best_theta, best_val = 0.0, -1.0
@@ -52,13 +50,13 @@ def demo_anomaly(seed: int = 0) -> tuple[list[str], bool]:
         v = optimize_yield(catalog.partial(theta), HardyScore()).value
         if v > best_val:
             best_theta, best_val = float(theta), v
-    rep.say(f"hardy yield partial({_fmt(best_theta)})  {_fmt(best_val)}")
+    rep.say(f"hardy yield partial({fmt(best_theta)})  {fmt(best_val)}")
     rep.check(best_val > 0.05, "a partially entangled state reaches the Hardy box")
 
     chsh_max = optimize_yield(phi, CHSH(), restarts=_RESTARTS, seed=seed).value
     chsh_partial = optimize_yield(catalog.partial(best_theta), CHSH(), restarts=_RESTARTS, seed=seed).value
-    rep.say(f"chsh yield phi_plus       {_fmt(chsh_max)}")
-    rep.say(f"chsh yield partial        {_fmt(chsh_partial)}")
+    rep.say(f"chsh yield phi_plus       {fmt(chsh_max)}")
+    rep.say(f"chsh yield partial        {fmt(chsh_partial)}")
     rep.check(abs(chsh_max - 2 * np.sqrt(2)) <= 1e-6, "phi_plus reaches the Tsirelson value")
     rep.check(chsh_partial < chsh_max - 1e-3, "the partial state does not reach it")
 
@@ -80,7 +78,7 @@ def demo_ghz_mermin(seed: int = 0) -> tuple[list[str], bool]:
     mermin = MerminGHZ()
     wins = mermin.setting_win_probabilities(box)
     for setting, p in sorted(wins.items()):
-        rep.say(f"win prob {setting}: {_fmt(p)}")
+        rep.say(f"win prob {setting}: {fmt(p)}")
     rep.check(all(abs(p - 1.0) <= 1e-10 for p in wins.values()), "parity relation holds with certainty")
     rep.check(abs(mermin.evaluate(box) - 1.0) <= 1e-10, "parity-game score is 1")
     rep.check(
@@ -132,7 +130,7 @@ def demo_flag_selftest(seed: int = 0) -> tuple[list[str], bool]:
     candidates = [catalog.phi_plus(), catalog.partial(np.pi / 8), catalog.partial(0.0)]
     report = closure_scan(CHSH(), 2 * np.sqrt(2), base, candidates,
                           tol=1e-6, restarts=_RESTARTS, seed=seed)
-    rep.say(report.to_text())
+    rep.lines += scan_text(report)
     reachers = [e.index for e in report.entries if e.is_reacher]
     rep.check(reachers == [0], "only phi_plus reaches the Tsirelson value")
     rep.check(report.satisfied, "every reacher converts to the target state")

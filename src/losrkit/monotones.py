@@ -8,7 +8,7 @@ for the Hardy score mixing can only violate the zero constraints.  The
 optimization domain is projective qubit measurements, each stored as a unit
 Bloch vector; every two-outcome qubit POVM is a mixture of projective ones,
 so nothing is lost for these functionals at qubit dimensions.  Angles appear
-only in printed results.
+only in the CLI's text.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
 (closed-form Bloch updates), and the best restart is the answer.  The state's
@@ -60,7 +60,7 @@ class MeasurementFamily:
 
     ``vectors[p, x]`` is n; outcome 0 projects onto +n, outcome 1 onto -n.
     ``angles`` gives the same directions as (polar, azimuthal) radians for
-    printing.  Higher-dimensional measurements can be passed to
+    the CLI's text.  Higher-dimensional measurements can be passed to
     ``born_box`` directly as ``[party][setting][outcome]`` POVM array-likes;
     this class only covers the qubit optimization domain.
     """
@@ -105,13 +105,6 @@ class YieldResult:
     restarts_used: int
     seed: int
     restart_values: tuple[float, ...]
-
-    def to_text(self) -> str:
-        lines = [f"{self.value:.10g} {self.restarts_used} {self.seed}"]
-        for p, angles in enumerate(self.argmax.angles):
-            row = " ".join(f"{v:.10g}" for v in angles.reshape(-1))
-            lines.append(f"party {p}: {row}")
-        return "\n".join(lines)
 
 
 def pauli_expectations(state: DensityMatrix | PureState) -> np.ndarray:

@@ -285,24 +285,3 @@ def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> boo
     l_chi = schmidt_spectrum(chi, beta)
     src = _cut_product(schmidt_spectrum(psi, beta), l_chi)
     return _factor(src, _cut_product(schmidt_spectrum(phi, beta), l_chi)).found
-
-
-def verdict_to_text(v: ConversionVerdict, long: bool = False) -> str:
-    """Serialize a verdict: `direction reason` plus one witness line per
-    bipartition; --long appends the per-direction analyses."""
-
-    def fmt(x: float) -> str:
-        return f"{x:.10g}"
-
-    lines = [f"{v.direction.value} {v.reason.value}"]
-    if v.witness:
-        for beta, zeta in v.witness:
-            lines.append(f"{beta.label()}: " + " ".join(fmt(x) for x in zeta.values))
-    if long:
-        for name, rep in (("psi->phi", v.forward), ("phi->psi", v.backward)):
-            where = f" at {rep.blocked_at.label()}" if rep.blocked_at else ""
-            status = "ruled out" if rep.ruled_out else "passes necessity"
-            lines.append(f"{name}: {status} ({rep.reason.value}{where})")
-        if v.borderline:
-            lines.append("warning: decision within 10x of the matching tolerance")
-    return "\n".join(lines)

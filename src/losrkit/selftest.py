@@ -8,9 +8,10 @@ inverses and traces the flags out.  When the flag distribution factorizes, no
 shared randomness is needed at all.
 
 Self-testing is evaluated only relative to an explicit finite candidate set
-(the universal quantifier is not decidable numerically); the scan report says
-so and marks reachers whose conversion it cannot decide as
-conversion-undecided.
+(the universal quantifier is not decidable numerically); the scan report
+holds, per candidate, whether it reaches the box's value and, for a reacher,
+whether it converts to the target, None where that is undecided.  The CLI
+writes the report's text.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class CandidateReport:
     yield_value: float
     is_reacher: bool
     converts: bool | None  # None = conversion undecided
-    verdict_label: str
+    direction: Direction | None  # compare(candidate, target), for a reacher compared with it
 
 
 @dataclass(frozen=True)
@@ -179,17 +180,6 @@ class ClosureScanReport:
     @property
     def box_unreachable(self) -> bool:
         return not any(e.is_reacher for e in self.entries)
-
-    def to_text(self) -> str:
-        lines = ["id yield reacher verdict"]
-        for e in self.entries:
-            lines.append(
-                f"{e.index} {e.yield_value:.10g} {int(e.is_reacher)} {e.verdict_label}"
-            )
-        if self.box_unreachable:
-            lines.append("box unreachable in candidate set (condition vacuously satisfied)")
-        lines.append(f"selftest condition satisfied on candidate set: {self.satisfied}")
-        return "\n".join(lines)
 
 
 def closure_scan(
@@ -219,18 +209,13 @@ def closure_scan(
     for idx, cand in enumerate(candidates):
         result = optimize_yield(cand, box_functional, restarts=restarts, seed=seed)
         reacher = result.value >= target_value - tol
-        converts: bool | None = None
-        label = "not_reacher"
-        if reacher:
-            if cand.n_parties == target_state.n_parties:
-                verdict = compare(cand, target_state)
-                if verdict.direction != Direction.INCONCLUSIVE:
-                    converts = verdict.allows_forward()
-            if converts is None:
-                label = "conversion_undecided"
-            else:
-                label = "converts" if converts else f"no_conversion({verdict.direction.value})"
-        entries.append(CandidateReport(idx, result.value, reacher, converts, label))
+        converts = direction = None
+        if reacher and cand.n_parties == target_state.n_parties:
+            verdict = compare(cand, target_state)
+            direction = verdict.direction
+            if direction != Direction.INCONCLUSIVE:
+                converts = verdict.allows_forward()
+        entries.append(CandidateReport(idx, result.value, reacher, converts, direction))
     return ClosureScanReport(
         type(box_functional).__name__, float(target_value), float(tol), tuple(entries)
     )

@@ -248,15 +248,23 @@ def hardy_yield_eigh(state) -> tuple[float, np.ndarray]:
     top eigenvector of the density matrix (of psi psi^dag for a pure state),
     each ket normalized on its own and each Bloch component taken as its own
     ``np.vdot``, scored by ``HardyScore`` on the Kronecker-product Born box.
-    Returns the value and the ``(2, 2, 3)`` Bloch vectors."""
+    Returns the value and the ``(2, 2, 3)`` Bloch vectors.
+
+    The Schmidt-rank-1 decision (s^2 <= tau_rank) reads the singular values
+    of a pure state's own amplitude matrix, the cutoff's documented input:
+    the eigenvector's can differ from them in the last bits, and so decide
+    an s^2 that sits on the cutoff the other way."""
     rho = state.density() if isinstance(state, PureState) else state
     M = np.linalg.eigh(rho.matrix)[1][:, -1].reshape(2, 2)
     U, (c, s), Vh = np.linalg.svd(M)
+    s_cut = s
+    if isinstance(state, PureState):
+        s_cut = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)[1]
 
     def perp(v):
         return np.array([-v[1].conjugate(), v[0].conjugate()])
 
-    if s * s <= config.current().tau_rank:
+    if s_cut * s_cut <= config.current().tau_rank:
         kets = [U[:, 0], U[:, 0], Vh[0], Vh[0]]
     else:
         a1 = U @ np.sqrt([c, s])

@@ -814,3 +814,27 @@ def test_drawn_command_lines_end_in_one_record(drawn):
     else:
         assert err.getvalue() == ""
     assert peak < _PEAK_BOUND, (args, peak)
+
+
+# One catalog command line per subcommand; where --long has lines to add,
+# the input is one that gets them.
+_LONG_CASES = {
+    "box-eval": ["box-eval", "tsirelson_box", "hardy"],
+    "box-local": ["box-local", "pr_box"],
+    "compare": ["--eps-match", "0.05", "compare", "partial(0.78)", "phi_plus"],
+    "demo": ["demo", "flag_selftest"],
+    "factor": ["--eps-match", "0.05", "factor", "partial(0.78)", "phi_plus"],
+    "multi-check": ["multi-check", "two_bell", "ghz"],
+    "schmidt": ["schmidt", "two_bell", "A|BC"],
+    "selftest-scan": ["--restarts", "4", "selftest-scan", "chsh", "2.828427", "phi_plus", "phi_plus", "partial(0.39)"],
+    "yield": ["--restarts", "4", "yield", "phi_plus", "chsh"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_subcommand_table()))
+def test_long_only_appends(capsys, command):
+    argv = _LONG_CASES[command]
+    code, out, _ = run(capsys, *argv)
+    long_code, long_out, _ = run(capsys, "--long", *argv)
+    assert code == long_code == 0
+    assert long_out.startswith(out)

@@ -24,6 +24,7 @@ from losrkit import (
     pauli_expectations,
     sample_losr_channel,
 )
+from losrkit.cli import yield_text
 from losrkit.monotones import _MAX_RESTARTS, _functional_tensor, _seesaw_linear
 from conftest import random_density, random_unitary
 from oracles import hardy_yield_eigh
@@ -210,9 +211,9 @@ class TestOptimizeYield:
                 with pytest.raises(ValueError, match=f"restarts must be in \\[1, {_MAX_RESTARTS}\\]"):
                     optimize_yield(catalog.phi_plus(), f, restarts=restarts, seed=0)
 
-    def test_to_text_format(self):
+    def test_yield_text_format(self):
         res = optimize_yield(catalog.phi_plus(), CHSH(), restarts=4, seed=2)
-        lines = res.to_text().splitlines()
+        lines = yield_text(res)
         head = lines[0].split()
         assert float(head[0]) == pytest.approx(TSIRELSON, abs=1e-6)
         assert head[1] == "4" and head[2] == "2"
@@ -259,6 +260,7 @@ class TestHardyFeasibleSet:
     @settings(max_examples=200, deadline=None)
     @given(theta=st.floats(0.0, np.pi / 2), seed=st.integers(0, 2**32 - 1))
     @example(theta=0.0, seed=0)  # partial(0.0): the Schmidt-rank-1 branch
+    @example(theta=1e-05, seed=1)  # s^2 = 1.0e-10 sits on tau_rank
     def test_pure_state_matches_eigh_route(self, theta, seed):
         # The yield reads a pure state's amplitudes; the oracle takes the top
         # eigenvector of psi psi^dag, as the mixed-state route does.

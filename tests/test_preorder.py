@@ -20,8 +20,8 @@ from losrkit import (
     rank_ratio_admissible,
     schmidt_spectrum,
     spectra_equal,
-    verdict_to_text,
 )
+from losrkit.cli import verdict_text
 from losrkit.preorder import _closest, _cut_product, _factor, _tensor_sorted
 from losrkit.selftest import conjugate_state
 from conftest import majorizes, random_pure, random_unitary
@@ -445,19 +445,20 @@ class TestCatalysis:
 
 
 class TestSerialization:
+    """The verdict's text, as the CLI's renderer writes it."""
+
     def test_directional_verdict(self):
         v = compare(catalog.max_entangled(4), catalog.phi_plus())
-        text = verdict_to_text(v)
-        lines = text.splitlines()
+        lines = verdict_text(v, long=False)
         assert lines[0] == "PsiToPhiOnly Decided"
         assert lines[1].startswith("A|B: 0.5 0.5")
 
     def test_incomparable_with_reason(self):
         v = compare(catalog.ghz(), catalog.two_bell())
-        text = verdict_to_text(v, long=True)
-        assert text.splitlines()[0] == "Incomparable RankRatioNonInteger"
-        assert "MarginalContradiction" in text
+        lines = verdict_text(v, long=True)
+        assert lines[0] == "Incomparable RankRatioNonInteger"
+        assert "MarginalContradiction" in "\n".join(lines)
 
     def test_equivalent(self):
         v = compare(catalog.phi_plus(), catalog.phi_plus())
-        assert verdict_to_text(v).splitlines()[0] == "Equivalent Decided"
+        assert verdict_text(v, long=False)[0] == "Equivalent Decided"

@@ -3,6 +3,7 @@ import pytest
 
 from losrkit import (
     CHSH,
+    Direction,
     FlagConstruction,
     HardyScore,
     all_bipartitions,
@@ -16,6 +17,7 @@ from losrkit import (
     forward_channel,
     schmidt_spectrum,
 )
+from losrkit.cli import scan_text
 from conftest import random_pure, random_unitary
 from oracles import backward_kraus_kron
 
@@ -296,7 +298,7 @@ class TestClosureScan:
             seed=3,
         )
         assert report.box_unreachable and report.satisfied
-        assert "unreachable" in report.to_text()
+        assert "unreachable" in "\n".join(scan_text(report))
 
     @pytest.mark.parametrize(
         "target_value, tol, named",
@@ -352,7 +354,8 @@ class TestClosureScan:
         )
         assert report.entries[0].is_reacher
         assert report.entries[0].converts is None
-        assert report.entries[0].verdict_label == "conversion_undecided"
+        assert report.entries[0].direction == Direction.INCONCLUSIVE
+        assert scan_text(report)[1].endswith(" 1 conversion_undecided")
         assert not report.entries[1].is_reacher
         # the necessary-condition check cannot certify conversion, so the
         # finite-set condition is honestly not satisfied
@@ -363,7 +366,7 @@ class TestClosureScan:
 
         w_state = PureState((2, 2, 2), np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3))
         report = closure_scan(MerminGHZ(), 1.0, w_state, [catalog.ghz()], restarts=6, seed=3)
-        assert report.to_text().splitlines()[1] == "0 1 1 no_conversion(Incomparable)"
+        assert scan_text(report)[1] == "0 1 1 no_conversion(Incomparable)"
         assert report.entries[0].converts is False
         assert not report.satisfied
 
@@ -371,7 +374,8 @@ class TestClosureScan:
         report = closure_scan(
             CHSH(), 2 * np.sqrt(2), catalog.ghz(), [catalog.phi_plus()], restarts=6, seed=3
         )
-        assert report.to_text().splitlines()[1].endswith(" 1 conversion_undecided")
+        assert scan_text(report)[1].endswith(" 1 conversion_undecided")
+        assert report.entries[0].direction is None
         assert report.entries[0].converts is None
         assert not report.satisfied
 
@@ -380,6 +384,6 @@ class TestClosureScan:
             CHSH(), 2 * np.sqrt(2), catalog.phi_plus(), [catalog.phi_plus()],
             tol=1e-6, restarts=6, seed=3,
         )
-        lines = report.to_text().splitlines()
+        lines = scan_text(report)
         assert lines[0] == "id yield reacher verdict"
         assert lines[1].startswith("0 2.8284271") and lines[1].endswith("1 converts")
