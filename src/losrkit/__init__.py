@@ -15,6 +15,7 @@ from .states import (
     group_parties,
     load_state,
     partial_trace,
+    pauli_expectations,
     permute_parties,
     save_state,
     schmidt_spectrum,
@@ -52,7 +53,6 @@ from .monotones import (
     hardy_grid_maximum,
     horodecki_chsh,
     optimize_yield,
-    pauli_expectations,
     sample_losr_channel,
 )
 from .selftest import (

@@ -14,7 +14,7 @@ import io
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import filterfalse, islice, product
 
 import numpy as np

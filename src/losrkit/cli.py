@@ -44,7 +44,8 @@ def _row(values) -> str:
 
 
 def spectrum_text(spec: SchmidtSpectrum, beta: Bipartition, long: bool) -> list[str]:
-    return [_row(spec.values)] + ([f"rank {spec.rank()} across {beta.label()}"] if long else [])
+    rank = spec.rank()  # first: a cutoff that removes every coefficient fails with or without --long
+    return [_row(spec.values)] + ([f"rank {rank} across {beta.label()}"] if long else [])
 
 
 def verdict_text(v: ConversionVerdict, long: bool) -> list[str]:

@@ -12,10 +12,10 @@ only in the CLI's text.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
 (closed-form Bloch updates), and the best restart is the answer.  The state's
-Pauli tensor is one ``states`` contraction step per party, as ``born_box`` is;
-with the functional it forms one tensor with an axis per party, so a party's
-field is a chain of matrix products, and every restart is swept in one batch
-until it stalls on its own.  The Born vectors of the running restarts stay in
+Pauli tensor (``states.pauli_expectations``, one step per party) and the
+functional form one tensor with an axis per party, so a party's field is a
+chain of matrix products, and every restart is swept in one batch until it
+stalls on its own.  The Born vectors of the running restarts stay in
 one array that each update writes in place, party 0's field both scores a sweep
 and starts the next one, and the batch is compacted only on a sweep where some
 restart stalls.  The Hardy score needs no search: the three zero constraints
@@ -34,15 +34,7 @@ import numpy as np
 
 from . import config
 from .boxes import BellFunctional, HardyScore
-from .states import DensityMatrix, LocalChannelFamily, PureState, _interleaved, _party_step, born_box
-
-# I, X, Y, Z as one read-only (4, 2, 2) stack.
-PAULI = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
-)
-PAULI.setflags(write=False)
-# The same stack as one party's ``states._party_step`` operator: [(row, col), i] = sigma_i[col, row].
-_PAULI_STEP = PAULI.swapaxes(1, 2).reshape(4, 4).T[None]
+from .states import PAULI, DensityMatrix, LocalChannelFamily, PureState, born_box, pauli_expectations
 
 _SET, _OUT, _PAU = "ijk", "abc", "uvw"
 
@@ -105,17 +97,6 @@ class YieldResult:
     restarts_used: int
     seed: int
     restart_values: tuple[float, ...]
-
-
-def pauli_expectations(state: DensityMatrix | PureState) -> np.ndarray:
-    """Real tensor E[i1..in] = Tr[rho sigma_i1 x ... x sigma_in] (qubits
-    only); a pure state is read as its density matrix."""
-    if any(d != 2 for d in state.party_dims):
-        raise ValueError("Pauli expectations need qubit parties")
-    t = _interleaved(state)
-    for _ in state.party_dims:
-        t = _party_step(t, _PAULI_STEP)
-    return t.real.reshape((4,) * state.n_parties).copy()
 
 
 def _u_arrays(vecs: np.ndarray) -> np.ndarray:
@@ -275,7 +256,8 @@ def optimize_yield(
         raise ValueError(f"restarts must be in [1, {_MAX_RESTARTS}], got {restarts}")
     coeffs = None if isinstance(f, HardyScore) else f.coefficients()
     n = 2 if coeffs is None else coeffs.ndim // 2
-    # Checked before ``density()``, which takes 256 MiB at 4096 dimensions.
+    # Checked before the Pauli tensor, whose outer product of a pure state
+    # takes 256 MiB at 4096 dimensions.
     if state.n_parties != n or any(d != 2 for d in state.party_dims):
         raise ValueError(
             f"{type(f).__name__} needs {n} qubit parties, state has dims {state.party_dims}"

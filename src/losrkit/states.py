@@ -21,8 +21,9 @@ their channel outputs load no scipy module, and LAPACK's in-place zpotrf
 from scipy.linalg, imported on first use, above.
 
 Local operators meet a state in one layout, ``[row_0, col_0, row_1, col_1,
-...]``, and one step, ``_party_step``: ``born_box``, ``apply_channel`` and
-``monotones.pauli_expectations`` are each one step per party.
+...]``, and one step, ``_party_step``: ``born_box`` and ``pauli_expectations``
+are one step per party; ``apply_channel`` takes one per superoperator party and
+writes its Kraus products and its sum over components itself.
 
 Dense eigendecompositions cap the practical total dimension at a few thousand;
 everything here is meant for desk-scale checks, not bulk simulation.
@@ -453,42 +454,18 @@ def _interleaved(state: DensityMatrix | PureState) -> np.ndarray:
     return state.matrix.reshape(dims * 2).transpose([a for p in range(n) for a in (p, n + p)]).reshape(1, -1)
 
 
-def _party_step(t: np.ndarray, op: np.ndarray, right: np.ndarray | None = None, fold: bool = False) -> np.ndarray:
+def _party_step(t: np.ndarray, op: np.ndarray) -> np.ndarray:
     """Contract the (row, col) pair at the front of ``t``, ``[b, row, col,
-    rest]`` with b a batch over channel components, and append the output at
-    the back: ``[g, rest, out]``, or with ``fold`` its sum over components.
-
-    Without ``right``, ``op`` is ``(g, d*d, m)`` and output j sums
-    t[row, col] op[(row, col), j].  With it, ``op`` is a ``(g, k, d_out, d)``
-    Kraus stack and the output pair is sum_k K_k t right_k: row products
-    written as ``[d_out, g, k, col, rest]``, then one column product per
-    output row.  Each product reads through a transposed view and writes in
-    place, so no step copies a rearranged tensor.
-    """
-    b = t.shape[0]
-    if right is None:
-        if fold and b < len(op):  # a single party: no batch axis was made, so sum the operators
-            op = op.sum(axis=0, keepdims=True)
-        t = t.reshape(b, op.shape[1], -1)
-        if fold:
-            t, op = t.reshape(1, -1, t.shape[2]), op.reshape(1, -1, op.shape[2])
-        return t.transpose(0, 2, 1) @ op
-    g, k, d_out, d = op.shape
-    t = t.reshape(b, 1, d, -1)
-    rest = t.shape[3] // d
-    rows = np.empty((d_out, g, k, d * rest), dtype=complex)
-    np.matmul(op, t, out=rows.transpose(1, 2, 0, 3))
-    g = 1 if fold else g
-    out = np.empty((g, rest, d_out, right.shape[3]), dtype=complex)
-    rows = rows.reshape(d_out, g, -1, rest).transpose(0, 1, 3, 2)  # [row out, g, rest, (k, col)]
-    np.matmul(rows, right.reshape(g, -1, right.shape[3]), out=out.transpose(2, 0, 1, 3))
-    return out.reshape(g, rest, -1)
+    rest]`` with b a batch over channel components, with a ``(g, d*d, m)``
+    operator, appending output j = sum t[row, col] op[(row, col), j] at the
+    back as ``[g, rest, m]``; ``t`` is read through a transposed view."""
+    return t.reshape(t.shape[0], op.shape[1], -1).transpose(0, 2, 1) @ op
 
 
 def apply_channel(rho: DensityMatrix, ch: LocalChannelFamily) -> DensityMatrix:
     """Convex mixture over the family of the tensor-product channel action,
-    one ``_party_step`` per party: the first makes the batch axis over
-    components and the last sums it, with the mixing weights.
+    one contraction per party, batched over the components: the first party
+    makes the batch axis and the last sums it, with the mixing weights.
 
     One size rule picks each party's path.  With ``rest`` the number of
     entries over the other parties' axes, a ``(k, d_out, d_in)`` Kraus stack
@@ -537,11 +514,30 @@ def apply_channel(rho: DensityMatrix, ch: LocalChannelFamily) -> DensityMatrix:
     for start in range(0, len(ch.components), group):
         t, members = _interleaved(rho), slice(start, start + group)
         for p, (op, right) in enumerate(steps):
-            t = _party_step(t, op[members], None if right is None else right[members], fold=p == n - 1)
+            op, fold = op[members], p == n - 1
+            if right is None:
+                if fold:  # sum the components: the batch axis, or the operators if no batch axis was made
+                    op = op.sum(axis=0, keepdims=True) if len(t) < len(op) else op.reshape(1, -1, op.shape[2])
+                    t = t.reshape(1, -1)
+                t = _party_step(t, op)
+                continue
+            # sum_k K_k t right_k: row products as [d_out, g, k, col, rest], then one column product per
+            # output row into [g, rest, d_out, d_out], summing (k, col), or (g, k, col) to fold.  Each
+            # input is freed once read, so only one product's input and output are alive at a time.
+            g, k, d_out, d = op.shape
+            rows = np.empty((d_out, g, k, t.size // len(t) // d), dtype=complex)
+            np.matmul(op, t.reshape(len(t), 1, d, -1), out=rows.transpose(1, 2, 0, 3))
+            del t
+            g, rest = 1 if fold else g, rows.shape[3] // d
+            t = np.empty((g, rest, d_out, right.shape[3]), dtype=complex)
+            rows = rows.reshape(d_out, g, -1, rest).transpose(0, 1, 3, 2)  # [row out, g, rest, (k, col)]
+            np.matmul(rows, right[members].reshape(g, -1, right.shape[3]), out=t.transpose(2, 0, 1, 3))
+            del rows
         out = t if out is None else np.add(out, t, out=out)
-    d = math.prod(dims_out)
-    out = out.reshape([e for q in dims_out for e in (q, q)]).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return DensityMatrix(dims_out, out.reshape(d, d))
+    del t  # so that only the matrix copy below is alive while it is checked
+    d, axes = math.prod(dims_out), [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    out = out.reshape([e for q in dims_out for e in (q, q)]).transpose(axes).reshape(d, d)
+    return DensityMatrix(dims_out, out)
 
 
 def born_box(state: DensityMatrix | PureState, meas) -> Box:
@@ -575,6 +571,26 @@ def born_box(state: DensityMatrix | PureState, meas) -> Box:
     n, table = len(ops), t.real.reshape(shape)
     # [x_1, a_1, ..., x_n, a_n] -> [x_1, ..., x_n, a_1, ..., a_n]
     return Box(table.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]))
+
+
+# I, X, Y, Z as one read-only (4, 2, 2) stack.
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+PAULI.setflags(write=False)
+# The same stack as one party's ``_party_step`` operator: [(row, col), i] = sigma_i[col, row].
+_PAULI_STEP = PAULI.swapaxes(1, 2).reshape(4, 4).T[None]
+_PAULI_STEP.setflags(write=False)
+
+
+def pauli_expectations(state: DensityMatrix | PureState) -> np.ndarray:
+    """Real tensor E[i1..in] = Tr[rho sigma_i1 x ... x sigma_in] (qubits
+    only), one ``_party_step`` per party as in ``born_box``; a pure state is
+    read as its density matrix."""
+    if any(d != 2 for d in state.party_dims):
+        raise ValueError("Pauli expectations need qubit parties")
+    t = _interleaved(state)
+    for _ in state.party_dims:
+        t = _party_step(t, _PAULI_STEP)
+    return t.real.reshape((4,) * state.n_parties).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from losrkit import (
     Tolerances,
     catalog,
     config,
+    local_membership,
     save_box,
     save_state,
     schmidt_spectrum,
     uniform_box,
 )
-from losrkit.cli import build_parser, main
+from losrkit.cli import build_parser, fmt, main
 from losrkit.selftest import conjugate_state
 from conftest import phi_plus_box, random_pure, random_unitary
 
@@ -68,8 +69,10 @@ class TestSchmidt:
         assert flags == {f.name for f in dataclasses.fields(Tolerances)}
 
     def test_tolerance_flags_do_not_leak(self, capsys):
+        # The cutoff removes every coefficient, so the command fails; the
+        # override is undone on that error path too.
         code, out, _ = run(capsys, "--tau-rank", "0.3", "schmidt", "two_bell", "A|BC")
-        assert code == 0
+        assert code == 2
         assert config.current() == Tolerances()
         spec = schmidt_spectrum(catalog.two_bell(), Bipartition.parse("A|BC", 3))
         assert spec.rank() == 4
@@ -219,6 +222,21 @@ class TestBoxCommands:
         code, out, _ = run(capsys, "box-local", str(path))
         assert code == 0
         assert out.startswith("Local reconstruction_error")
+
+    def test_box_local_long_lists_the_local_weights(self, capsys, tmp_path):
+        path = tmp_path / "uni.txt"
+        box = uniform_box((2, 2), (2, 2))
+        save_box(path, box)
+        code, out, _ = run(capsys, "--long", "box-local", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "Local reconstruction_error 0",
+            "weights: 3:0.25 4:0.25 8:0.25 15:0.25",
+            "lp rounds 1 columns 16",
+        ]
+        weights = local_membership(box).weights
+        listed = " ".join(f"{i}:{fmt(weights[i])}" for i in np.flatnonzero(weights))
+        assert out.splitlines()[1] == "weights: " + listed
 
     def test_box_local_long_reports_lp_rounds(self, capsys):
         code, out, _ = run(capsys, "--long", "box-local", "pr_box")
@@ -519,6 +537,7 @@ MALFORMED = [
     (["compare", "max_entangled(2.5)", "phi_plus"], ["'max_entangled(2.5)'"]),
     (["schmidt", "max_entangled(20000)", "A|B"], ["'max_entangled(20000)'", "4096"]),
     (["--tau-rank", "0.6", "--long", "schmidt", "phi_plus", "A|B"], ["tau_rank 0.6", "largest 0.5"]),
+    (["--tau-rank", "0.3", "schmidt", "two_bell", "A|BC"], ["tau_rank 0.3", "largest 0.25"]),
     # scan thresholds that are not finite, and restarts over the cap
     (["selftest-scan", "chsh", "nan", "phi_plus", "phi_plus"], ["target_value", "nan"]),
     (["selftest-scan", "chsh", "2.8", "phi_plus", "phi_plus", "--tol", "nan"], ["tol", "nan"]),
