@@ -308,63 +308,34 @@ def sample_losr_channel(dims, seed: int) -> LocalChannelFamily:
 
 
 # ---------------------------------------------------------------------------
-# Independent Hardy oracle: exhaustive grid over the state angle and the two
-# free measurement angles, with the three zero constraints solved exactly
-# (two in closed form, the third by bisection).  Real-plane measurements
-# suffice for states with real Schmidt coefficients; agreement with the
-# closed-form yield is checked by the test suite.
+# Independent Hardy oracle: exhaustive grid over the state angle and A's
+# setting-0 angle, with all three zero constraints solved in closed form.
+# Real-plane measurements suffice for states with real Schmidt coefficients;
+# agreement with the closed-form yield is checked by the test suite.
 
 
-# Entries per row block of the Hardy sign grid.  Each block's float64
-# temporaries stay under 128 KiB, glibc's initial mmap threshold, so they
-# reuse heap pages instead of being mapped and faulted in afresh each pass.
-_HARDY_BLOCK_ENTRIES = 2**14 - 1
-
-
-def _hardy_third_constraint(ct: float, st: float, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    a1 = np.arctan2(-ct * np.cos(b0), st * np.sin(b0))
-    return ct * np.sin(a1) * np.sin(b1) + st * np.cos(a1) * np.cos(b1)
-
-
-def hardy_grid_maximum(
-    theta_grid, a0_points: int = 120, b0_points: int = 241
-) -> tuple[float, tuple[float, float, float]]:
+def hardy_grid_maximum(theta_grid, a0_points: int = 120) -> tuple[float, tuple[float, float, float]]:
     """Max Hardy probability over states cos(t)|00> + sin(t)|11>, t in the grid.
 
-    For each (t, a0) the constraints p(00|01) = 0 and p(00|10) = 0 fix the
-    remaining directions in closed form; roots of p(11|11) = 0 in b0 are then
-    bracketed on a grid and refined by bisection before scoring p(00|00).
-    Every a0 and bracketed root of one t is bisected at once; ties resolve
-    to the first t, then the first a0, then the first root.
+    For each (t, a0) the constraints p(00|01) = 0 and p(00|10) = 0 fix b1 and
+    a1 in closed form, and p(11|11) = 0 then has the one root
+    b0 = arctan(cot(t)^2 tan(b1)) in (-pi/2, pi/2).  It counts only strictly
+    inside (-pi/2 + 1e-3, pi/2 - 1e-3), the span of the a0 grid, and
+    p(00|00) is scored there.  Ties resolve to the first t, then the first a0.
     """
-    a0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, a0_points)
-    b0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, b0_points)
-    rows = max(1, _HARDY_BLOCK_ENTRIES // max(b0_points, 1))
+    edge = np.pi / 2 - 1e-3
+    a0_grid = np.linspace(-edge, edge, a0_points)
     best = 0.0
     arg = (0.0, 0.0, 0.0)
     for t in np.asarray(theta_grid, dtype=float):
         ct, st = np.cos(t), np.sin(t)
         if abs(st) < 1e-12 or abs(ct) < 1e-12:
             continue
-        b1_grid = np.arctan2(-ct * np.cos(a0_grid), st * np.sin(a0_grid))
-        blocks = []
-        for r in range(0, max(a0_points, 1), rows):
-            g = _hardy_third_constraint(ct, st, b0_grid, b1_grid[r : r + rows, None])
-            a, b = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
-            blocks.append((a + r, b, g[a, b]))
-        ia, ib, glo = (np.concatenate(x) for x in zip(*blocks))
-        if ia.size == 0:
-            continue
-        a0, b1 = a0_grid[ia], b1_grid[ia]
-        lo, hi = b0_grid[ib], b0_grid[ib + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = _hardy_third_constraint(ct, st, mid, b1)
-            keep = (gm > 0) == (glo > 0)
-            lo, glo, hi = np.where(keep, mid, lo), np.where(keep, gm, glo), np.where(keep, hi, mid)
-        b0 = 0.5 * (lo + hi)
-        val = (ct * np.cos(a0) * np.cos(b0) + st * np.sin(a0) * np.sin(b0)) ** 2
+        b1 = np.arctan2(-ct * np.cos(a0_grid), st * np.sin(a0_grid))
+        b0 = np.arctan((ct / st) ** 2 * np.tan(b1))
+        val = (ct * np.cos(a0_grid) * np.cos(b0) + st * np.sin(a0_grid) * np.sin(b0)) ** 2
+        val[np.abs(b0) >= edge] = 0.0  # never beats best, which starts at 0
         i = int(np.argmax(val))
         if val[i] > best:
-            best, arg = float(val[i]), (float(t), float(a0[i]), float(b0[i]))
+            best, arg = float(val[i]), (float(t), float(a0_grid[i]), float(b0[i]))
     return best, arg

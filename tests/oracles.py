@@ -275,3 +275,60 @@ def hardy_yield_eigh(state) -> tuple[float, np.ndarray]:
     paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
     bloch = np.reshape([[np.vdot(k, p @ k).real for p in paulis] for k in kets], (2, 2, 3))
     return HardyScore().evaluate(born_box_kron(rho, MeasurementFamily(bloch))), bloch
+
+
+# Entries per row block of the Hardy sign grid.  Each block's float64
+# temporaries stay under 128 KiB, glibc's initial mmap threshold, so they
+# reuse heap pages instead of being mapped and faulted in afresh each pass.
+_HARDY_BLOCK_ENTRIES = 2**14 - 1
+
+
+def _hardy_third_constraint(ct: float, st: float, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    a1 = np.arctan2(-ct * np.cos(b0), st * np.sin(b0))
+    return ct * np.sin(a1) * np.sin(b1) + st * np.cos(a1) * np.cos(b1)
+
+
+def hardy_grid_bisection(
+    theta_grid, a0_points: int = 120, b0_points: int = 241
+) -> tuple[float, tuple[float, float, float]]:
+    """Reference for ``hardy_grid_maximum``: the sign-grid-and-bisection
+    method that the library's closed-form root replaced.
+
+    For each (t, a0) the constraints p(00|01) = 0 and p(00|10) = 0 fix the
+    remaining directions in closed form; roots of p(11|11) = 0 in b0 are then
+    bracketed on a ``b0_points`` grid over (-pi/2 + 1e-3, pi/2 - 1e-3), in row
+    blocks, and refined by 60 bisection steps before scoring p(00|00).
+    Every a0 and bracketed root of one t is bisected at once; ties resolve
+    to the first t, then the first a0, then the first root.
+    """
+    a0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, a0_points)
+    b0_grid = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, b0_points)
+    rows = max(1, _HARDY_BLOCK_ENTRIES // max(b0_points, 1))
+    best = 0.0
+    arg = (0.0, 0.0, 0.0)
+    for t in np.asarray(theta_grid, dtype=float):
+        ct, st = np.cos(t), np.sin(t)
+        if abs(st) < 1e-12 or abs(ct) < 1e-12:
+            continue
+        b1_grid = np.arctan2(-ct * np.cos(a0_grid), st * np.sin(a0_grid))
+        blocks = []
+        for r in range(0, max(a0_points, 1), rows):
+            g = _hardy_third_constraint(ct, st, b0_grid, b1_grid[r : r + rows, None])
+            a, b = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+            blocks.append((a + r, b, g[a, b]))
+        ia, ib, glo = (np.concatenate(x) for x in zip(*blocks))
+        if ia.size == 0:
+            continue
+        a0, b1 = a0_grid[ia], b1_grid[ia]
+        lo, hi = b0_grid[ib], b0_grid[ib + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gm = _hardy_third_constraint(ct, st, mid, b1)
+            keep = (gm > 0) == (glo > 0)
+            lo, glo, hi = np.where(keep, mid, lo), np.where(keep, gm, glo), np.where(keep, hi, mid)
+        b0 = 0.5 * (lo + hi)
+        val = (ct * np.cos(a0) * np.cos(b0) + st * np.sin(a0) * np.sin(b0)) ** 2
+        i = int(np.argmax(val))
+        if val[i] > best:
+            best, arg = float(val[i]), (float(t), float(a0[i]), float(b0[i]))
+    return best, arg

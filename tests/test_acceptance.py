@@ -204,7 +204,7 @@ def test_criterion_08_hardy_anomaly():
             v = optimize_yield(catalog.partial(float(theta)), HardyScore(), restarts=6, seed=888)
             best_opt = max(best_opt, v.value)
         # independent oracle: exact constraint solving on a measurement grid
-        oracle_best, _ = hardy_grid_maximum(theta_grid, a0_points=120, b0_points=241)
+        oracle_best, _ = hardy_grid_maximum(theta_grid, a0_points=120)
         assert abs(best_opt - 0.09017) <= 1e-3
         assert abs(oracle_best - 0.09017) <= 1e-3
         assert abs(best_opt - oracle_best) <= 1e-3

@@ -27,7 +27,7 @@ from losrkit import (
 from losrkit.cli import yield_text
 from losrkit.monotones import _MAX_RESTARTS, _functional_tensor, _seesaw_linear
 from conftest import random_density, random_unitary
-from oracles import hardy_yield_eigh
+from oracles import hardy_grid_bisection, hardy_yield_eigh
 
 TSIRELSON = 2 * np.sqrt(2)
 HARDY_MAX = (5 * np.sqrt(5) - 11) / 2
@@ -453,19 +453,37 @@ class TestMonotonicitySmoke:
 
 class TestHardyGridOracle:
     def test_coarse_grid_reaches_known_region(self):
-        best, (theta, a0, b0) = hardy_grid_maximum(
-            np.linspace(0.38, 0.50, 7), a0_points=40, b0_points=81
-        )
+        best, (theta, a0, b0) = hardy_grid_maximum(np.linspace(0.38, 0.50, 7), a0_points=40)
         assert 0.085 <= best <= 0.0902
         assert 0.38 <= theta <= 0.50
 
-    @pytest.mark.parametrize("entries", [1, 241 * 7, 10**9])
-    def test_row_blocks_give_the_same_maximum(self, monkeypatch, entries):
-        # one row per block, blocks ending on a row boundary, and one block
-        thetas = [0.2, 0.4387, 0.9]
-        expected = [hardy_grid_maximum([t]) for t in thetas]
-        monkeypatch.setattr("losrkit.monotones._HARDY_BLOCK_ENTRIES", entries)
-        assert [hardy_grid_maximum([t]) for t in thetas] == expected
+    @pytest.mark.parametrize("a0_points", [1, 2, 40, 120])
+    def test_matches_the_bisection_reference(self, a0_points):
+        edges = np.linspace(0.05, np.pi / 2 - 0.05, 65)
+        thetas = edges[:-1] + np.random.default_rng(47).uniform(size=64) * np.diff(edges)
+        for t in [*thetas, 0.2, 0.4387, 0.9]:
+            best, (theta, a0, b0) = hardy_grid_maximum([t], a0_points=a0_points)
+            ref_best, (ref_theta, ref_a0, ref_b0) = hardy_grid_bisection([t], a0_points, 241)
+            assert abs(best - ref_best) <= 1e-12
+            assert theta == ref_theta
+            # (a0, b0) -> (-a0, -b0) keeps every probability, so the first of
+            # two mirrored grid points is picked by rounding in either method
+            if a0 != ref_a0:
+                a0, b0 = -a0, -b0
+            assert abs(a0 - ref_a0) <= 1e-12
+            assert abs(b0 - ref_b0) <= 1e-12
+
+    def test_returned_angles_meet_the_constraints(self):
+        best, (t, a0, b0) = hardy_grid_maximum([0.4387])
+        ct, st = np.cos(t), np.sin(t)
+        b1 = np.arctan2(-ct * np.cos(a0), st * np.sin(a0))
+        a1 = np.arctan2(-ct * np.cos(b0), st * np.sin(b0))
+        # the real-plane ket (cos a, sin a) has Bloch vector (sin 2a, 0, cos 2a)
+        angles = np.array([[a0, a1], [b0, b1]])
+        bloch = np.stack([np.sin(2 * angles), np.zeros_like(angles), np.cos(2 * angles)], axis=-1)
+        p = born_box(catalog.partial(t).density(), MeasurementFamily(bloch)).table
+        assert abs(p[0, 0, 0, 0] - best) <= 1e-12
+        assert max(p[0, 1, 0, 0], p[1, 0, 0, 0], p[1, 1, 1, 1]) <= 1e-12
 
 
 class TestAnomalyOrdering:

@@ -1,5 +1,6 @@
 """Structure guards over the package source: no unused import, no writable
-module-level array, and the contraction step's layout private to ``states``."""
+module-level array, no unread private name, and the contraction step's
+layout private to ``states``."""
 
 import ast
 import importlib
@@ -34,6 +35,47 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def statement_names(node: ast.stmt) -> set[str]:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Names read under ``node``: loaded names, attributes and imported names."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(alias.name for alias in n.names)
+    return read
+
+
+def test_every_private_name_is_read():
+    # A private helper, class or constant that no package code reads outside
+    # its own definition is dead: tests and scripts do not keep it alive.
+    defined, read = {}, set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            own = statement_names(node)
+            for name in own:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = path.name
+            read |= read_names(node) - own
+    unread = {name: module for name, module in defined.items() if name not in read}
+    assert not unread, f"private names no package code reads: {unread}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
