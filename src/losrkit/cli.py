@@ -5,8 +5,10 @@ Inputs are either names from the builtin catalog (``phi_plus``, ``ghz``,
 ``pr_box``, ``tsirelson_box``) or paths to files in the text formats of the
 states and boxes modules.  This module writes every result's text: one
 renderer per record returns its default lines and the lines ``--long``
-appends, numbers written by ``fmt``.  Exit codes: 0 success, 1 failed demo
-assertions, 2 malformed or unreadable input.  A state renormalized within
+appends, numbers written by ``fmt``, and each demo behind ``demo`` returns
+its report's lines and True iff all of its checks hold.  Malformed input
+raises ``ValueError``.  Exit codes: 0 success, 1 failed demo assertions, 2
+malformed or unreadable input.  A state renormalized within
 ``states.NORM_REPAIR_LIMIT`` is answered without the library's warning.
 """
 
@@ -22,17 +24,15 @@ from dataclasses import fields
 import numpy as np
 
 from . import catalog, config
-from .boxes import CHSH, Box, HardyScore, LocalModel, MerminGHZ, TiltedCHSH, load_box, local_membership
-from .monotones import YieldResult, optimize_yield
-from .preorder import ConversionVerdict, FactorizationResult, compare, factor_spectrum
-from .selftest import ClosureScanReport, closure_scan
-from .states import Bipartition, PureState, SchmidtSpectrum, load_state, schmidt_spectrum
+from .boxes import (
+    CHSH, Box, HardyScore, LocalModel, MerminGHZ, NonlocalCertificate, TiltedCHSH, load_box, local_membership,
+)
+from .monotones import YieldResult, horodecki_chsh, optimize_yield
+from .preorder import ConversionVerdict, Direction, FactorizationResult, Reason, _catalytic, compare, factor_spectrum
+from .selftest import ClosureScanReport, FlagConstruction, closure_scan, flag_roundtrip_check, forward_channel
+from .states import Bipartition, PureState, SchmidtSpectrum, born_box, load_state, schmidt_spectrum
 
 _BORDERLINE = "warning: decision within 10x of the matching tolerance"
-
-
-class InputError(Exception):
-    pass
 
 
 def fmt(x: float) -> str:
@@ -122,10 +122,10 @@ def _load_any(name: str):
             try:
                 return load_box(name)
             except ValueError as box_exc:
-                raise InputError(
+                raise ValueError(
                     f"cannot parse {name}: as a state, {state_exc}; as a box, {box_exc}"
                 ) from box_exc
-    raise InputError(
+    raise ValueError(
         f"{name!r} is neither a catalog entry ({', '.join(catalog.names())}) nor a readable file"
     )
 
@@ -137,7 +137,7 @@ def _load_pure(name: str) -> PureState:
 def _load_as(name: str, cls, what: str):
     obj = _load_any(name)
     if not isinstance(obj, cls):
-        raise InputError(f"{name!r} is not {what}")
+        raise ValueError(f"{name!r} is not {what}")
     return obj
 
 
@@ -147,7 +147,7 @@ _FUNCTIONALS = {"chsh": CHSH, "tilted": TiltedCHSH, "hardy": HardyScore, "mermin
 def _functional(name: str, alpha: float):
     cls = _FUNCTIONALS.get(name.strip().lower())
     if cls is None:
-        raise InputError(f"unknown functional {name!r} (chsh, tilted, hardy, mermin)")
+        raise ValueError(f"unknown functional {name!r} (chsh, tilted, hardy, mermin)")
     return cls(alpha) if cls is TiltedCHSH else cls()
 
 
@@ -162,7 +162,7 @@ def cmd_compare(args) -> int:
     psi = _load_pure(args.state1)
     phi = _load_pure(args.state2)
     if args.command == "multi-check" and not psi.n_parties == phi.n_parties >= 3:
-        raise InputError("multi-check needs two states with the same n >= 3 parties")
+        raise ValueError("multi-check needs two states with the same n >= 3 parties")
     print("\n".join(verdict_text(compare(psi, phi), args.long)))
     return 0
 
@@ -171,10 +171,10 @@ def cmd_factor(args) -> int:
     psi = _load_pure(args.state1)
     phi = _load_pure(args.state2)
     if psi.n_parties != phi.n_parties:
-        raise InputError("states must have the same number of parties")
+        raise ValueError("states must have the same number of parties")
     if args.bipartition is None:
         if psi.n_parties != 2:
-            raise InputError("--bipartition is required for more than two parties")
+            raise ValueError("--bipartition is required for more than two parties")
         beta = Bipartition(frozenset({0}), 2)
     else:
         beta = Bipartition.parse(args.bipartition, psi.n_parties)
@@ -214,9 +214,168 @@ def cmd_selftest_scan(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
-    from .demos import DEMOS
+# See-saw restarts of the demos' CHSH yields, and catalysis trials.
+_RESTARTS = 8
+_CATALYSIS_TRIALS = 500
 
+
+class _Report:
+    def __init__(self):
+        self.lines: list[str] = []
+        self.ok = True
+
+    def say(self, text: str) -> None:
+        self.lines.append(text)
+
+    def check(self, cond: bool, text: str) -> None:
+        tag = "ok" if cond else "FAIL"
+        self.lines.append(f"{tag}: {text}")
+        self.ok = self.ok and bool(cond)
+
+
+def demo_anomaly(seed: int = 0) -> tuple[list[str], bool]:
+    """Hardy reachable from a partially entangled state but not from the
+    maximally entangled one, while the states are order-incomparable."""
+    rep = _Report()
+    phi = catalog.phi_plus()
+    hardy_max = optimize_yield(phi, HardyScore()).value
+    rep.say(f"hardy yield phi_plus      {fmt(hardy_max)}")
+    rep.check(hardy_max <= 1e-6, "maximally entangled state cannot reach the Hardy box")
+
+    best_theta, best_val = 0.0, -1.0
+    for theta in np.linspace(0.25, 0.65, 5):
+        v = optimize_yield(catalog.partial(theta), HardyScore()).value
+        if v > best_val:
+            best_theta, best_val = float(theta), v
+    rep.say(f"hardy yield partial({fmt(best_theta)})  {fmt(best_val)}")
+    rep.check(best_val > 0.05, "a partially entangled state reaches the Hardy box")
+
+    chsh_max = optimize_yield(phi, CHSH(), restarts=_RESTARTS, seed=seed).value
+    chsh_partial = optimize_yield(catalog.partial(best_theta), CHSH(), restarts=_RESTARTS, seed=seed).value
+    rep.say(f"chsh yield phi_plus       {fmt(chsh_max)}")
+    rep.say(f"chsh yield partial        {fmt(chsh_partial)}")
+    rep.check(abs(chsh_max - 2 * np.sqrt(2)) <= 1e-6, "phi_plus reaches the Tsirelson value")
+    rep.check(chsh_partial < chsh_max - 1e-3, "the partial state does not reach it")
+
+    verdict = compare(phi, catalog.partial(best_theta))
+    rep.say(f"compare phi_plus partial  {verdict.direction.value}")
+    rep.check(verdict.direction == Direction.INCOMPARABLE, "the two states are incomparable")
+    rep.check(
+        abs(horodecki_chsh(phi) - chsh_max) <= 1e-6,
+        "see-saw agrees with the closed-form correlation-matrix bound",
+    )
+    return rep.lines, rep.ok
+
+
+def demo_ghz_mermin(seed: int = 0) -> tuple[list[str], bool]:
+    """The parity game from the three-qubit GHZ state, and incomparability of
+    GHZ with two Bell pairs."""
+    rep = _Report()
+    box = born_box(catalog.ghz().density(), catalog.xy_measurements(3))
+    mermin = MerminGHZ()
+    wins = mermin.setting_win_probabilities(box)
+    for setting, p in sorted(wins.items()):
+        rep.say(f"win prob {setting}: {fmt(p)}")
+    rep.check(all(abs(p - 1.0) <= 1e-10 for p in wins.values()), "parity relation holds with certainty")
+    rep.check(abs(mermin.evaluate(box) - 1.0) <= 1e-10, "parity-game score is 1")
+    rep.check(
+        isinstance(local_membership(box), NonlocalCertificate),
+        "the realized box is outside the local polytope",
+    )
+
+    verdict = compare(catalog.two_bell(), catalog.ghz())
+    rep.say(f"two_bell vs ghz: {verdict.direction.value}")
+    rep.check(verdict.direction == Direction.INCOMPARABLE, "two Bell pairs and GHZ are incomparable")
+    rep.check(
+        verdict.forward.reason == Reason.MARGINAL_CONTRADICTION,
+        "two_bell -> ghz blocked by the auxiliary-marginal contradiction",
+    )
+    rep.check(
+        verdict.backward.reason == Reason.RANK_RATIO_NON_INTEGER,
+        "ghz -> two_bell blocked by a non-integer rank ratio",
+    )
+    return rep.lines, rep.ok
+
+
+def demo_flag_selftest(seed: int = 0) -> tuple[list[str], bool]:
+    """Flagged mixed states are operationally equivalent to their base state,
+    so a self-tested pure state drags a mixed-state family along with it."""
+    rep = _Report()
+    rng = np.random.default_rng(seed)
+
+    def random_unitary(d: int) -> np.ndarray:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(g)
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    base = catalog.phi_plus()
+    dist = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    fc = FlagConstruction(base, dist, (random_unitary(2), random_unitary(2)),
+                          (random_unitary(2), random_unitary(2)))
+    rep.check(flag_roundtrip_check(fc), "random flagged state round-trips to the base state")
+    _, needs_sr = forward_channel(fc)
+    rep.say(f"joint flag distribution needs shared randomness: {needs_sr}")
+
+    pa, pb = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+    fc_prod = FlagConstruction(base, np.outer(pa, pb),
+                               (random_unitary(2), random_unitary(2)),
+                               (random_unitary(2), random_unitary(2)))
+    fam, needs_sr = forward_channel(fc_prod)
+    rep.check(not needs_sr, "factorized flag distribution needs no shared randomness")
+    rep.check(flag_roundtrip_check(fc_prod), "factorized-flag state round-trips as well")
+
+    candidates = [catalog.phi_plus(), catalog.partial(np.pi / 8), catalog.partial(0.0)]
+    report = closure_scan(CHSH(), 2 * np.sqrt(2), base, candidates,
+                          tol=1e-6, restarts=_RESTARTS, seed=seed)
+    rep.lines += scan_text(report)
+    reachers = [e.index for e in report.entries if e.is_reacher]
+    rep.check(reachers == [0], "only phi_plus reaches the Tsirelson value")
+    rep.check(report.satisfied, "every reacher converts to the target state")
+    return rep.lines, rep.ok
+
+
+def demo_catalysis(seed: int = 0) -> tuple[list[str], bool]:
+    """Catalysis is impossible for bipartite pure states: an auxiliary shared
+    state never unlocks a conversion.  Each trial draws the three Schmidt
+    spectra once and decides both conversions on them, the catalytic one by
+    ``preorder._catalytic``, the rule ``catalytic_convertible`` applies to
+    the spectra of states."""
+    rep = _Report()
+    rng = np.random.default_rng(seed)
+    counterexamples = 0
+    convertible_cases = 0
+    for t in range(_CATALYSIS_TRIALS):
+        ranks = rng.integers(1, 5, size=3)
+        if t % 2 == 0:
+            phi = SchmidtSpectrum(rng.dirichlet(np.ones(ranks[0])))
+            psi = phi.tensor(SchmidtSpectrum(rng.dirichlet(np.ones(ranks[1]))))
+        else:
+            psi = SchmidtSpectrum(rng.dirichlet(np.ones(ranks[0])))
+            phi = SchmidtSpectrum(rng.dirichlet(np.ones(ranks[1])))
+        chi = SchmidtSpectrum(rng.dirichlet(np.ones(max(2, ranks[2]))))
+        plain = factor_spectrum(psi, phi).found
+        cat = _catalytic(psi, phi, chi)
+        convertible_cases += int(plain)
+        if cat != plain:
+            counterexamples += 1
+            rep.say(f"counterexample at trial {t}")
+    rep.say(f"trials {_CATALYSIS_TRIALS}, plainly convertible cases {convertible_cases}")
+    rep.check(counterexamples == 0, "catalytic convertibility always equals plain convertibility")
+    rep.check(convertible_cases > 0, "the sweep exercised genuinely convertible pairs")
+    return rep.lines, rep.ok
+
+
+# In sorted order: the parser takes this dict as the demo choices and lists
+# them in this order.
+DEMOS = {
+    "anomaly": demo_anomaly,
+    "catalysis": demo_catalysis,
+    "flag_selftest": demo_flag_selftest,
+    "ghz_mermin": demo_ghz_mermin,
+}
+
+
+def cmd_demo(args) -> int:
     lines, ok = DEMOS[args.name](seed=args.seed)
     print("\n".join(lines + ["demo result: " + ("pass" if ok else "fail")]))
     return 0 if ok else 1
@@ -229,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     Every caller shares the one parser, so it must not be mutated.  Parsing
     leaves no state in it: each call returns a fresh namespace.
     """
-    from .demos import DEMOS  # here and in cmd_demo: the demos import this module
-
     parser = argparse.ArgumentParser(
         prog="losrkit",
         description="LOSR-entanglement convertibility, box classification, and yield monotones.",
@@ -319,7 +476,7 @@ def main(argv=None) -> int:
             # renormalized self; the library's warning would come before the record.
             warnings.filterwarnings("ignore", "renormalizing state", UserWarning)
             return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

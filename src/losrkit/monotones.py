@@ -6,9 +6,9 @@ suffice: for convex-linear functionals (CHSH, tilted CHSH, the parity game)
 the optimum over mixtures of strategies is attained at a pure strategy, and
 for the Hardy score mixing can only violate the zero constraints.  The
 optimization domain is projective qubit measurements, each stored as a unit
-Bloch vector; every two-outcome qubit POVM is a mixture of projective ones,
-so nothing is lost for these functionals at qubit dimensions.  Angles appear
-only in the CLI's text.
+Bloch vector.  The search holds the rank-1 projectors only, not the
+deterministic settings +I and -I, so a linear yield can read below the
+functional's local bound (CHSH 0 on I/4).  Angles appear only in the CLI's text.
 
 Linear functionals are optimized by a coordinate-ascent see-saw over parties
 (closed-form Bloch updates), and the best restart is the answer.  The state's
@@ -321,7 +321,10 @@ def hardy_grid_maximum(theta_grid, a0_points: int = 120) -> tuple[float, tuple[f
     a1 in closed form, and p(11|11) = 0 then has the one root
     b0 = arctan(cot(t)^2 tan(b1)) in (-pi/2, pi/2).  It counts only strictly
     inside (-pi/2 + 1e-3, pi/2 - 1e-3), the span of the a0 grid, and
-    p(00|00) is scored there.  Ties resolve to the first t, then the first a0.
+    p(00|00) is scored there.  Within one t the maxima come in mirrored
+    pairs (a0, b0) and (-a0, -b0) on the symmetric a0 grid, and last-bit
+    rounding, not grid order, picks the one returned: callers must not rely
+    on the sign of the returned angles.
     """
     edge = np.pi / 2 - 1e-3
     a0_grid = np.linspace(-edge, edge, a0_points)

@@ -275,13 +275,17 @@ def compare(psi: PureState, phi: PureState) -> ConversionVerdict:
     return ConversionVerdict(direction, passed.reason, passed.zetas, fwd, bwd)
 
 
-def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> bool:
+def _catalytic(l_psi: SchmidtSpectrum, l_phi: SchmidtSpectrum, l_chi: SchmidtSpectrum) -> bool:
     """Whether psi (x) chi converts to phi (x) chi, decided on the products
     of the three spectra, each cut at ``tau_rank`` (``_cut_product``)."""
+    return _factor(_cut_product(l_psi, l_chi), _cut_product(l_phi, l_chi)).found
+
+
+def catalytic_convertible(psi: PureState, phi: PureState, chi: PureState) -> bool:
+    """Whether psi (x) chi converts to phi (x) chi, decided on the Schmidt
+    spectra of the three bipartite states by ``_catalytic``."""
     for s, name in ((psi, "psi"), (phi, "phi"), (chi, "chi")):
         if s.n_parties != 2:
             raise ValueError(f"{name} must be bipartite")
     (beta,) = all_bipartitions(2)
-    l_chi = schmidt_spectrum(chi, beta)
-    src = _cut_product(schmidt_spectrum(psi, beta), l_chi)
-    return _factor(src, _cut_product(schmidt_spectrum(phi, beta), l_chi)).found
+    return _catalytic(*(schmidt_spectrum(s, beta) for s in (psi, phi, chi)))

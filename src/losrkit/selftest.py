@@ -168,9 +168,6 @@ class ClosureScanReport:
     condition, not a universal claim.
     """
 
-    functional_name: str
-    target_value: float
-    tol: float
     entries: tuple[CandidateReport, ...]
 
     @property
@@ -216,6 +213,4 @@ def closure_scan(
             if direction != Direction.INCONCLUSIVE:
                 converts = verdict.allows_forward()
         entries.append(CandidateReport(idx, result.value, reacher, converts, direction))
-    return ClosureScanReport(
-        type(box_functional).__name__, float(target_value), float(tol), tuple(entries)
-    )
+    return ClosureScanReport(tuple(entries))

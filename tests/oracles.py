@@ -33,7 +33,7 @@ from losrkit import (
     rank_ratio_admissible,
 )
 from losrkit.boxes import _MARGIN_EPS, linprog
-from losrkit.demos import _CATALYSIS_TRIALS, _Report
+from losrkit.cli import _CATALYSIS_TRIALS, _Report
 from losrkit.preorder import _finish
 
 

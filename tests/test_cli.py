@@ -442,7 +442,7 @@ class TestDemos:
         assert "demo result: pass" in out
 
     def test_catalysis_demo_matches_state_level_loop(self):
-        from losrkit.demos import demo_catalysis
+        from losrkit.cli import demo_catalysis
         from oracles import demo_catalysis_states
 
         for seed in range(20):
@@ -469,9 +469,9 @@ class TestDemos:
         assert exc.value.code == 2
 
     def test_failing_demo_exits_one(self, capsys, monkeypatch):
-        from losrkit import demos
+        from losrkit import cli
 
-        monkeypatch.setitem(demos.DEMOS, "always_fails", lambda seed=0: (["FAIL: forced"], False))
+        monkeypatch.setitem(cli.DEMOS, "always_fails", lambda seed=0: (["FAIL: forced"], False))
         code, out, _ = run(capsys, "demo", "always_fails")
         assert code == 1
         assert "demo result: fail" in out
@@ -513,10 +513,10 @@ class TestParserReuse:
         assert (code, out, err) == (0, "0.25 0.25 0.25 0.25\n", "")
 
     def test_seed_does_not_stick(self, capsys, monkeypatch):
-        from losrkit import demos
+        from losrkit import cli
 
         seeds = []
-        monkeypatch.setitem(demos.DEMOS, "ghz_mermin", lambda seed=0: (seeds.append(seed) or [], True))
+        monkeypatch.setitem(cli.DEMOS, "ghz_mermin", lambda seed=0: (seeds.append(seed) or [], True))
         assert run(capsys, "--seed", "3", "demo", "ghz_mermin")[0] == 0
         assert run(capsys, "demo", "ghz_mermin")[0] == 0
         assert seeds == [3, 0]

@@ -219,6 +219,19 @@ class TestOptimizeYield:
         assert head[1] == "4" and head[2] == "2"
         assert len(lines) == 3
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+    @pytest.mark.parametrize(
+        "n, functional, local_bound",
+        [(2, CHSH(), 2.0), (2, TiltedCHSH(0.5), 2.5), (3, MerminGHZ(), 0.75)],
+        ids=["chsh", "tilted", "mermin"],
+    )
+    def test_maximally_mixed_meets_local_bound(self, n, functional, local_bound):
+        # Under LOSR a party can ignore its system and answer a fixed outcome,
+        # so every state reaches the local bound.  The search holds rank-1
+        # projectors only, and reads 0, 0 and 0.5 here.
+        rho = DensityMatrix((2,) * n, np.eye(2**n) / 2**n)
+        assert optimize_yield(rho, functional).value >= local_bound - 1e-9
+
 
 class TestHardyFeasibleSet:
     def test_pure_states_meet_closed_form(self, rng):

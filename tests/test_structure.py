@@ -1,8 +1,9 @@
 """Structure guards over the package source: no unused import, no writable
-module-level array, no unread private name, and the contraction step's
-layout private to ``states``."""
+module-level array, no unread private name, no import cycle between the
+package's modules, and the contraction step's layout private to ``states``."""
 
 import ast
+import graphlib
 import importlib
 import re
 from pathlib import Path
@@ -83,6 +84,26 @@ def test_no_module_level_array_is_writable(path):
     module = importlib.import_module(f"losrkit.{path.stem}")
     writable = [k for k, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
     assert not writable, f"losrkit.{path.stem} holds writable arrays: {writable}"
+
+
+def relative_imports(tree: ast.Module) -> set[str]:
+    """The package modules that ``from .x import ...`` or ``from . import x``
+    names anywhere in ``tree``, inside functions too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_no_import_cycle():
+    # A module that imports another which imports it back needs a deferred
+    # import to load at all.
+    graph = {path.stem: relative_imports(ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle: " + " → ".join(reversed(exc.args[1])))
 
 
 def test_only_states_knows_the_step_layout():
